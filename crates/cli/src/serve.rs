@@ -115,6 +115,7 @@ use bfs_metrics::{prom, Counter, Hist, MetricsSnapshot};
 use bfs_platform::Topology;
 use bfs_trace::{
     FlightRecorder, FlightStats, LevelDigest, RequestTrace, TailSampler, TraceDigest, TraceLookup,
+    LEVEL_DIGEST_CAP,
 };
 use serde::Serialize;
 
@@ -789,8 +790,13 @@ fn serve_wave(
         let serialize_ns = elapsed_ns(ser);
         let total_ns = elapsed_ns(job.arrival);
         let keep = lock(&state.sampler).decide(total_ns, false);
+        // The flight cap lives here, on the copy: the session's record
+        // is uncapped, a kept trace holds its first LEVEL_DIGEST_CAP levels.
         let (levels, levels_truncated) = if keep {
-            sess.with_level_digest(|log| (log.entries().to_vec(), log.truncated()))
+            sess.with_level_digest(|levels| {
+                let kept = &levels[..levels.len().min(LEVEL_DIGEST_CAP)];
+                (kept.to_vec(), (levels.len() - kept.len()) as u64)
+            })
         } else {
             (Vec::new(), 0)
         };
@@ -2288,6 +2294,47 @@ mod tests {
 
         assert!(get(&addr, "/quitquitquit").body.ends_with("bye\n"));
         driver.join().unwrap().unwrap();
+
+        // A traversal deeper than the flight cap: the kept trace carries
+        // the first LEVEL_DIGEST_CAP levels and counts the rest.
+        const DEPTH: usize = 100;
+        let file = std::env::temp_dir().join(format!(
+            "fastbfs_serve_deep_path_{}.fbfs",
+            std::process::id()
+        ));
+        let mut bytes = Vec::new();
+        bfs_graph::io::write_binary(&bfs_graph::gen::classic::path(DEPTH + 1), &mut bytes).unwrap();
+        std::fs::write(&file, bytes).unwrap();
+        let (driver, addr) = start(&[
+            "-i",
+            file.to_str().unwrap(),
+            "--slow-ms",
+            "0",
+            "--sessions",
+            "1",
+        ]);
+        let r = http::get_with_headers(
+            &addr,
+            "/query?src=0",
+            &[("Trace-Id", "deep-1")],
+            Duration::from_secs(30),
+        )
+        .unwrap();
+        assert!(r.ok(), "{} {}", r.status, r.body);
+        let t = get(&addr, "/debug/trace/deep-1");
+        assert!(t.ok(), "{} {}", t.status, t.body);
+        let tv = serde_json::parse(&t.body).unwrap();
+        let levels = tv.get("levels").and_then(|x| x.as_array()).unwrap();
+        assert_eq!(levels.len(), LEVEL_DIGEST_CAP, "{}", t.body);
+        assert_eq!(
+            tv.get("levels_truncated").and_then(|x| x.as_u64()),
+            Some((DEPTH - LEVEL_DIGEST_CAP) as u64)
+        );
+        let last = levels[LEVEL_DIGEST_CAP - 1].get("step");
+        assert_eq!(last.and_then(|x| x.as_u64()), Some(LEVEL_DIGEST_CAP as u64));
+        assert!(get(&addr, "/quitquitquit").body.ends_with("bye\n"));
+        driver.join().unwrap().unwrap();
+        std::fs::remove_file(&file).ok();
     }
 
     /// Tail-sampling policy: failures (422, deadline drops) always keep
@@ -2408,8 +2455,10 @@ mod tests {
             });
             // Wait until the queue is visibly full, then prove it: a
             // probe is shed with 503 and its trace records the shed.
+            // Stop polling once the batch is done: if it outran the
+            // filler, the queue stays empty and only a retry can help.
             let mut saturated = false;
-            while Instant::now() < deadline {
+            while Instant::now() < deadline && !batch.is_finished() {
                 let m = get(&addr, "/metrics").body;
                 if series_value(&m, "fastbfs_queue_depth") >= 1 {
                     saturated = true;
@@ -2781,8 +2830,10 @@ mod tests {
             let filler = std::thread::spawn(move || {
                 http::get(&addr3, "/query?src=0", Duration::from_secs(60)).unwrap()
             });
+            // Stop polling once the batch is done: if it outran the
+            // filler, the queue stays empty and only a retry can help.
             let mut saturated = false;
-            while Instant::now() < deadline {
+            while Instant::now() < deadline && !batch.is_finished() {
                 let m = get(&addr, "/metrics").body;
                 if series_value(&m, "fastbfs_queue_depth") >= 1 {
                     saturated = true;

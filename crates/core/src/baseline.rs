@@ -121,9 +121,10 @@ fn flat_parallel_bfs(
     ];
     // Per-thread (expansion nanos, enqueued) for the leader's step event.
     let step_scratch: ThreadOwned<(u64, u64)> = ThreadOwned::from_fn(nthreads, |_| (0, 0));
-    // `frontier_sizes[0]` is the source frontier (see `TraversalStats`).
-    let frontier_log = crate::engine::parking_lot_free_log(n);
-    frontier_log.with_mut(0, |log| log.push(1));
+    // Leader-only frontier-size log: a single-cell `ThreadOwned` that only
+    // thread 0 touches during the run. `frontier_sizes[0]` is the source
+    // frontier (see `TraversalStats`).
+    let sizes_log: ThreadOwned<Vec<u64>> = ThreadOwned::from_fn(1, |_| vec![1]);
 
     let pool = SocketPool::new(topology);
     let enqueued: Vec<u64> = pool.run(|ctx| {
@@ -180,7 +181,7 @@ fn flat_parallel_bfs(
             ctx.barrier();
             let total = totals[(step & 1) as usize].load(Ordering::Relaxed);
             if tid == 0 && total > 0 {
-                frontier_log.with_mut(0, |log| log.push(total));
+                sizes_log.with_mut(0, |log| log.push(total));
                 if tracing {
                     emit_baseline_step(sink, step, total, nthreads, &step_scratch, &dp, n);
                 }
@@ -214,7 +215,7 @@ fn flat_parallel_bfs(
         }
     }
     let enq: u64 = enqueued.iter().sum();
-    let frontier_sizes: Vec<u64> = frontier_log.with_mut(0, std::mem::take);
+    let frontier_sizes: Vec<u64> = sizes_log.with_mut(0, std::mem::take);
     debug_assert_eq!(frontier_sizes.len() as u32 - 1, max_depth);
     BfsOutput {
         depths,

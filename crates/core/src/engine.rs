@@ -27,7 +27,7 @@ use bfs_graph::CsrGraph;
 use bfs_metrics::{Counter as Metric, Hist as MetricHist, MetricsRegistry, MetricsSnapshot};
 use bfs_perf::{PerfCounts, PerfGroup, PerfUnavailable, ENGINE_EVENTS};
 use bfs_platform::{HugepageUnavailable, SocketPool, Topology};
-use bfs_trace::{NoopSink, RunEvent, StepEvent, ThreadStep, TraceEvent, TraceSink};
+use bfs_trace::{LevelDigest, NoopSink, RunEvent, StepEvent, ThreadStep, TraceEvent, TraceSink};
 
 use crate::balance::{divide_even, divide_static, Segment, Stream};
 use crate::cell::ThreadOwned;
@@ -267,6 +267,10 @@ struct StepScratch {
 /// [`prepare`](Self::prepare) resets `DP` in O(1) (epoch bump), `VIS` in
 /// O(touched vertices), and the frontier/bin buffers in O(threads) — no
 /// O(|V|) zeroing and no allocation on the warm path.
+///
+/// Each BFS level is written exactly once, as one entry of the leader's
+/// `levels` record; the run's per-level outputs (frontier sizes, step
+/// directions, trace step events, the flight digest) are views of it.
 pub(crate) struct RunState {
     pub(crate) dp: DepthParent,
     pub(crate) vis: Vis,
@@ -281,16 +285,11 @@ pub(crate) struct RunState {
     /// those bits after the level's last read barrier, so session reuse
     /// needs no extra reset.
     frontier_bitmap: FrontierBitmap,
-    /// Leader-only per-depth enqueue log (`frontier_sizes`).
-    frontier_log: ThreadOwned<Vec<u64>>,
-    /// Leader-only per-depth direction log (aligned with
-    /// `frontier_sizes[1..]`).
-    direction_log: ThreadOwned<Vec<Direction>>,
-    /// Leader-only per-level digest (direction, frontier size, critical-
-    /// path phase ns), aligned with `direction_log`. Fixed capacity,
-    /// preallocated at construction: warm-path recording never allocates
-    /// (the flight-recorder seam — see DESIGN.md §15).
-    level_log: ThreadOwned<bfs_trace::LevelDigestLog>,
+    /// Leader-only per-level record: one [`LevelDigest`] (step,
+    /// direction, frontier size, critical-path phase ns) per non-empty
+    /// BFS level (DESIGN.md §15). Capacity is kept across runs, so warm
+    /// pushes never allocate.
+    levels: ThreadOwned<Vec<LevelDigest>>,
     /// Per-thread log of every vertex the run enqueued (sessions only):
     /// exactly the set whose VIS storage the next `prepare` must clear.
     touched: ThreadOwned<Vec<VertexId>>,
@@ -339,11 +338,7 @@ impl RunState {
                 },
                 huge,
             ),
-            frontier_log: ThreadOwned::from_fn(1, |_| Vec::new()),
-            direction_log: ThreadOwned::from_fn(1, |_| Vec::new()),
-            level_log: ThreadOwned::from_fn(1, |_| {
-                bfs_trace::LevelDigestLog::with_capacity(bfs_trace::LEVEL_DIGEST_CAP)
-            }),
+            levels: ThreadOwned::from_fn(1, |_| Vec::new()),
             touched: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
             track_touched,
             runs: 0,
@@ -356,14 +351,11 @@ impl RunState {
         self.runs
     }
 
-    /// Read access to the last run's per-level digest (the flight-
-    /// recorder seam). Entries align with `TraversalStats::step_directions`
-    /// up to the log's fixed capacity.
-    pub(crate) fn with_level_digest<R>(
-        &self,
-        f: impl FnOnce(&bfs_trace::LevelDigestLog) -> R,
-    ) -> R {
-        self.level_log.read(0, f)
+    /// Lends the last run's per-level record, one entry per non-empty
+    /// level: entry `i` is `TraversalStats::frontier_sizes[i + 1]` and
+    /// `step_directions[i]` (the flight-recorder seam).
+    pub(crate) fn with_level_digest<R>(&self, f: impl FnOnce(&[LevelDigest]) -> R) -> R {
+        self.levels.read(0, |levels| f(levels))
     }
 
     /// Sum of frontier/bin/scratch/touched buffer capacities in `u32`
@@ -427,23 +419,13 @@ impl RunState {
             for f in self.bv_next.iter_mut() {
                 f.clear();
             }
-            for log in self.frontier_log.iter_mut() {
-                log.clear();
-            }
-            for log in self.direction_log.iter_mut() {
-                log.clear();
-            }
-            for log in self.level_log.iter_mut() {
-                log.clear();
-            }
+            self.levels.with_mut(0, Vec::clear);
         }
         self.runs += 1;
         self.last_source = Some(source);
         self.dp.set(source, 0, source);
         self.vis.mark(source);
         self.bv_cur.with_mut(0, |f| f.push(source));
-        // `frontier_sizes[0]` is the source frontier (see `TraversalStats`).
-        self.frontier_log.with_mut(0, |log| log.push(1));
     }
 }
 
@@ -862,12 +844,10 @@ impl<'g> BfsEngine<'g> {
                 c.barrier_ns += ctx.timed_barrier().1;
                 let total = totals[(step & 1) as usize].load(Ordering::Relaxed);
                 if tid == 0 && total > 0 {
-                    state.frontier_log.with_mut(0, |log| log.push(total));
-                    state.direction_log.with_mut(0, |log| log.push(dir));
-                    // Bounded-overhead level digest: critical-path (max
-                    // over threads) phase times from the step scratch,
-                    // recorded into a preallocated fixed-capacity log —
-                    // no allocation, no DP scan (unlike `emit_step_event`).
+                    // The level's one record: critical-path (max over
+                    // threads) phase times from the step scratch. No DP
+                    // scan (unlike `emit_step_event`), and no allocation
+                    // once the log has grown to the session's deepest run.
                     let (mut p1, mut p2, mut pr) = (0u64, 0u64, 0u64);
                     for t in 0..nthreads {
                         state.step_scratch.read(t, |s| {
@@ -876,23 +856,19 @@ impl<'g> BfsEngine<'g> {
                             pr = pr.max(s.rearrange_ns);
                         });
                     }
-                    state.level_log.with_mut(0, |log| {
-                        log.record(bfs_trace::LevelDigest {
-                            step,
-                            top_down: dir == Direction::TopDown,
-                            frontier: total,
-                            phase1_ns: p1,
-                            phase2_ns: p2,
-                            rearrange_ns: pr,
-                        });
-                    });
+                    let level = LevelDigest {
+                        step,
+                        top_down: dir == Direction::TopDown,
+                        frontier: total,
+                        phase1_ns: p1,
+                        phase2_ns: p2,
+                        rearrange_ns: pr,
+                    };
+                    state.levels.with_mut(0, |log| log.push(level));
                     if tracing {
                         self.emit_step_event(
                             sink,
-                            step,
-                            total,
-                            nthreads,
-                            dir,
+                            &level,
                             &state.step_scratch,
                             &state.bins,
                             &state.dp,
@@ -957,17 +933,17 @@ impl<'g> BfsEngine<'g> {
                 traversed += self.graph.degree(v as u32) as u64;
             }
         }
-        // Reuse `out`'s log allocations instead of taking the state's.
+        // Views of the level record, built in `out`'s retained vectors.
+        // `frontier_sizes[0]` is the source frontier (see `TraversalStats`).
         let mut frontier_sizes = std::mem::take(&mut out.stats.frontier_sizes);
-        frontier_sizes.clear();
-        state
-            .frontier_log
-            .read(0, |log| frontier_sizes.extend_from_slice(log));
         let mut step_directions = std::mem::take(&mut out.stats.step_directions);
+        frontier_sizes.clear();
+        frontier_sizes.push(1);
         step_directions.clear();
-        state
-            .direction_log
-            .read(0, |log| step_directions.extend_from_slice(log));
+        state.levels.read(0, |levels| {
+            frontier_sizes.extend(levels.iter().map(|l| l.frontier));
+            step_directions.extend(levels.iter().map(level_direction));
+        });
         let enqueued: u64 = counters.iter().map(|c| c.enqueued).sum();
         out.stats = TraversalStats {
             steps: frontier_sizes.len() as u32 - 1,
@@ -1021,18 +997,17 @@ impl<'g> BfsEngine<'g> {
     /// Assembles and records the step's [`StepEvent`] on the leader, between
     /// the step's last two barriers: every thread's `step_scratch` and bins
     /// are in their read epoch, and nobody writes `DP` until the next step.
-    #[allow(clippy::too_many_arguments)]
+    /// Step, frontier and direction come from the level record just pushed.
     fn emit_step_event(
         &self,
         sink: &dyn TraceSink,
-        step: u32,
-        total: u64,
-        nthreads: usize,
-        dir: Direction,
+        level: &LevelDigest,
         step_scratch: &ThreadOwned<StepScratch>,
         bins: &ThreadOwned<BinSet>,
         dp: &DepthParent,
     ) {
+        let (step, dir) = (level.step, level_direction(level));
+        let nthreads = step_scratch.len();
         let threads: Vec<ThreadStep> = (0..nthreads)
             .map(|t| {
                 step_scratch.read(t, |s| ThreadStep {
@@ -1076,8 +1051,8 @@ impl<'g> BfsEngine<'g> {
         });
         sink.record(&TraceEvent::Step(StepEvent {
             step,
-            frontier: total,
-            duplicates: total.saturating_sub(claimed),
+            frontier: level.frontier,
+            duplicates: level.frontier.saturating_sub(claimed),
             direction: Some(dir.as_str().to_string()),
             threads,
             bin_occupancy,
@@ -1365,11 +1340,14 @@ impl<'g> BfsEngine<'g> {
     }
 }
 
-/// A single-cell `ThreadOwned` used as a leader-only log (keeps the cell
-/// protocol uniform instead of adding a mutex for one vector — only thread 0
-/// ever touches it during the run).
-pub(crate) fn parking_lot_free_log(capacity_hint: usize) -> ThreadOwned<Vec<u64>> {
-    ThreadOwned::from_fn(1, |_| Vec::with_capacity(capacity_hint.min(1024)))
+/// The kernel a recorded level ran (`step_directions` is this view of the
+/// level record).
+fn level_direction(level: &LevelDigest) -> Direction {
+    if level.top_down {
+        Direction::TopDown
+    } else {
+        Direction::BottomUp
+    }
 }
 
 #[cfg(test)]
@@ -1665,7 +1643,7 @@ mod tests {
     }
 
     #[test]
-    fn direction_log_matches_policy_and_steps() {
+    fn step_directions_match_policy_and_steps() {
         let g = uniform_random(2500, 12, &mut rng_from_seed(41));
         let topo = Topology::synthetic(2, 2);
         let td = BfsEngine::new(

@@ -539,7 +539,7 @@ mod tests {
         execute_wave(&mut s, &wave, &mut out, |session, i, o| {
             // The digest hook: each callback sees the traversal that
             // produced this outcome, before the next one overwrites it.
-            assert!(session.with_level_digest(|log| !log.entries().is_empty()));
+            assert!(session.with_level_digest(|levels| !levels.is_empty()));
             seen.push((i, o));
         });
         assert_eq!(seen.len(), 3);

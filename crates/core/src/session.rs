@@ -212,14 +212,16 @@ impl<'g> BfsSession<'g> {
         }
     }
 
-    /// Read access to the last run's per-level digest: direction,
-    /// frontier size, and critical-path phase nanoseconds per BFS level,
-    /// recorded allocation-free into a fixed-capacity log (the flight-
-    /// recorder seam, DESIGN.md §15). Level sizes and directions are id-
-    /// space-agnostic, so the digest needs no permutation translation on
-    /// relabeled graphs. Empty before the first run; overwritten by each
-    /// run, so a batch leaves the digest of its last source's traversal.
-    pub fn with_level_digest<R>(&self, f: impl FnOnce(&bfs_trace::LevelDigestLog) -> R) -> R {
+    /// Lends the last run's per-level record: one [`bfs_trace::LevelDigest`]
+    /// (step, direction, frontier size, critical-path phase nanoseconds)
+    /// per non-empty BFS level, uncapped, in traversal order — the record
+    /// `stats.frontier_sizes[1..]` and `stats.step_directions` are derived
+    /// from (the flight-recorder seam, DESIGN.md §15). Level sizes and
+    /// directions are id-space-agnostic, so the record needs no
+    /// permutation translation on relabeled graphs. Empty before the first
+    /// run; overwritten by each run, so a batch leaves the record of its
+    /// last source's traversal.
+    pub fn with_level_digest<R>(&self, f: impl FnOnce(&[bfs_trace::LevelDigest]) -> R) -> R {
         self.state.with_level_digest(f)
     }
 

@@ -1,4 +1,4 @@
-//! Request flight recorder: bounded per-level digests, tail-based
+//! Request flight recorder: the engine's per-level record, tail-based
 //! sampling, and fixed-capacity rings of completed request traces.
 //!
 //! The full [`TraceEvent`](crate::event::TraceEvent) pipeline is built
@@ -9,12 +9,13 @@
 //! substrate's idea — bounded, in-memory, overwrite-oldest — with three
 //! pieces sized for a production query path:
 //!
-//! * [`LevelDigestLog`] — a fixed-capacity, preallocated log of
-//!   [`LevelDigest`] records (direction, frontier size, per-phase
-//!   nanoseconds) that the engine's leader thread fills once per BFS
-//!   level. Recording is a bounds check and a few stores: **no heap
-//!   allocation on the warm path** (guarded by a counting-allocator
-//!   test).
+//! * [`LevelDigest`] — the engine's per-level record (direction,
+//!   frontier size, per-phase nanoseconds). The leader thread pushes one
+//!   per BFS level into a session-owned vector whose capacity is kept
+//!   across runs, so the warm path records it with **no heap
+//!   allocation** (guarded by a counting-allocator test). The same record
+//!   feeds the run's stats and trace step events; a kept request trace
+//!   copies at most [`LEVEL_DIGEST_CAP`] of it.
 //! * [`TailSampler`] — decides, once a request completes, whether its
 //!   full trace is worth keeping: always for failures (errors, deadline
 //!   drops), otherwise only when the latency clears an absolute floor
@@ -30,15 +31,15 @@ use std::sync::Mutex;
 
 use serde::Serialize;
 
-/// Default capacity (in BFS levels) of a session's [`LevelDigestLog`].
-/// The paper's graphs are shallow (RMAT/uniform diameters under ~30);
-/// deeper traversals keep the first `LEVEL_DIGEST_CAP` levels and count
-/// the rest as truncated.
+/// Most levels a [`RequestTrace`] copies from the traversal's per-level
+/// record. The paper's graphs are shallow (RMAT/uniform diameters under
+/// ~30); a deeper traversal's trace keeps its first `LEVEL_DIGEST_CAP`
+/// levels and counts the rest in [`RequestTrace::levels_truncated`].
 pub const LEVEL_DIGEST_CAP: usize = 64;
 
-/// One BFS level as the executing session saw it: which direction the
-/// engine picked, how large the produced frontier was, and the critical-
-/// path (max over threads) nanoseconds of each phase.
+/// One BFS level, recorded once by the engine's leader thread: which
+/// direction the engine picked, how large the produced frontier was, and
+/// the critical-path (max over threads) nanoseconds of each phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct LevelDigest {
     /// BFS depth of the produced frontier (1 = the source's neighbors).
@@ -55,58 +56,6 @@ pub struct LevelDigest {
     pub phase2_ns: u64,
     /// Max over threads of frontier-rearrangement time.
     pub rearrange_ns: u64,
-}
-
-/// Fixed-capacity log of [`LevelDigest`] records. All storage is
-/// allocated at construction; [`record`](Self::record) never allocates
-/// and never grows the backing vector — levels past capacity are
-/// counted, not stored.
-#[derive(Debug)]
-pub struct LevelDigestLog {
-    entries: Vec<LevelDigest>,
-    truncated: u64,
-}
-
-impl LevelDigestLog {
-    /// A log holding at most `capacity` levels.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            entries: Vec::with_capacity(capacity),
-            truncated: 0,
-        }
-    }
-
-    /// Forgets all recorded levels (capacity retained).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.truncated = 0;
-    }
-
-    /// Records one level. Allocation-free: past capacity the digest is
-    /// dropped and only counted.
-    #[inline]
-    pub fn record(&mut self, digest: LevelDigest) {
-        if self.entries.len() < self.entries.capacity() {
-            self.entries.push(digest);
-        } else {
-            self.truncated += 1;
-        }
-    }
-
-    /// The recorded levels, in traversal order.
-    pub fn entries(&self) -> &[LevelDigest] {
-        &self.entries
-    }
-
-    /// Levels dropped because the log was full.
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    /// Maximum levels this log retains.
-    pub fn capacity(&self) -> usize {
-        self.entries.capacity()
-    }
 }
 
 /// Observations before the rolling threshold activates: with fewer
@@ -246,7 +195,8 @@ pub struct RequestTrace {
     /// Per-level digest of the traversal that answered the request (for
     /// batch requests: the last source's traversal).
     pub levels: Vec<LevelDigest>,
-    /// Levels beyond the digest log's capacity.
+    /// Levels of that traversal beyond [`LEVEL_DIGEST_CAP`], counted
+    /// but not copied into `levels`.
     pub levels_truncated: u64,
 }
 
@@ -421,30 +371,6 @@ mod tests {
             }],
             levels_truncated: 0,
         }
-    }
-
-    #[test]
-    fn digest_log_is_bounded_and_counts_truncation() {
-        let mut log = LevelDigestLog::with_capacity(4);
-        for step in 1..=10u32 {
-            log.record(LevelDigest {
-                step,
-                top_down: step % 2 == 1,
-                frontier: step as u64,
-                phase1_ns: 1,
-                phase2_ns: 2,
-                rearrange_ns: 3,
-            });
-        }
-        assert_eq!(log.entries().len(), 4);
-        assert_eq!(log.truncated(), 6);
-        assert_eq!(log.entries()[0].step, 1);
-        assert_eq!(log.entries()[3].step, 4);
-        let cap_before = log.capacity();
-        log.clear();
-        assert!(log.entries().is_empty());
-        assert_eq!(log.truncated(), 0);
-        assert_eq!(log.capacity(), cap_before);
     }
 
     /// Churn far past both capacities: the rings stay bounded and the

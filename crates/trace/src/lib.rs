@@ -18,8 +18,8 @@
 //!   [`TeeSink`] (fan-out).
 //! * [`summary`] — analytics over a recorded trace: step-latency
 //!   percentiles, per-phase load-imbalance factors, duplicate rates.
-//! * [`flight`] — the always-on serving counterpart: allocation-free
-//!   per-level digests ([`LevelDigestLog`]), tail-based sampling
+//! * [`flight`] — the always-on serving counterpart: the engine's
+//!   per-level record ([`LevelDigest`]), tail-based sampling
 //!   ([`TailSampler`]), and bounded rings of completed request traces
 //!   ([`FlightRecorder`]).
 //!
@@ -55,8 +55,8 @@ pub use event::{
     SuperstepEvent, ThreadStep, TraceEvent,
 };
 pub use flight::{
-    FlightRecorder, FlightStats, LevelDigest, LevelDigestLog, RequestTrace, TailSampler,
-    TraceDigest, TraceLookup, LEVEL_DIGEST_CAP,
+    FlightRecorder, FlightStats, LevelDigest, RequestTrace, TailSampler, TraceDigest, TraceLookup,
+    LEVEL_DIGEST_CAP,
 };
 pub use sink::{JsonlSink, NoopSink, RingSink, TeeSink, TraceSink};
 pub use summary::{summarize, TraceSummary};

@@ -230,8 +230,9 @@ echo "==> flight-recorder smoke (tail-sampled traces, /debug endpoints)"
 FR_ADDR_FILE="$(mktemp /tmp/check_fr_XXXXXX.addr)"
 FR_LOG="$(mktemp /tmp/check_fr_XXXXXX.jsonl)"
 FR_OUT="$(mktemp /tmp/check_fr_XXXXXX.json)"
+FR_DEEP="$(mktemp /tmp/check_fr_XXXXXX.fbfs)"
 FR_PID=""
-trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_A" "$POOL_B" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true' EXIT
+trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_A" "$POOL_B" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT" "$FR_DEEP"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true' EXIT
 : > "$FR_ADDR_FILE"
 # --slow-ms 0: the sampler keeps every trace, so >= 50 driven queries
 # must all be retrievable (ring capacity permitting).
@@ -294,12 +295,34 @@ EOF
 curl -fsS "http://$FADDR/quitquitquit" >/dev/null
 wait "$FR_PID"
 FR_PID=""
+# A traversal deeper than the 64-level flight cap: the session keeps
+# every level, the kept trace copies the first 64 and counts the rest.
+target/release/fastbfs gen --family road --vertices 16384 -o "$FR_DEEP" >/dev/null
+: > "$FR_ADDR_FILE"
+target/release/fastbfs serve -i "$FR_DEEP" --metrics-addr 127.0.0.1:0 \
+    --addr-file "$FR_ADDR_FILE" --slow-ms 0 --threads 2 &
+FR_PID=$!
+for _ in $(seq 1 100); do [ -s "$FR_ADDR_FILE" ] && break; sleep 0.1; done
+[ -s "$FR_ADDR_FILE" ] || { echo "error: deep-graph serve never wrote its address" >&2; exit 1; }
+FADDR="$(cat "$FR_ADDR_FILE")"
+DEPTH="$(curl -fsS -H 'Trace-Id: deep-0' "http://$FADDR/query?src=0" \
+    | python3 -c 'import json, sys; print(json.load(sys.stdin)["depth"])')"
+curl -fsS "http://$FADDR/debug/trace/deep-0" | python3 -c '
+import json, sys
+t, depth = json.load(sys.stdin), int(sys.argv[1])
+assert len(t["levels"]) == 64, len(t["levels"])
+assert t["levels_truncated"] > 0 and t["levels_truncated"] == depth - 64, (t["levels_truncated"], depth)
+assert [l["step"] for l in t["levels"]] == list(range(1, 65))
+' "$DEPTH"
+curl -fsS "http://$FADDR/quitquitquit" >/dev/null
+wait "$FR_PID"
+FR_PID=""
 
 echo "==> monitor smoke (windowed rollups, SLO verdicts, fastbfs monitor)"
 MON_ADDR_FILE="$(mktemp /tmp/check_mon_XXXXXX.addr)"
 MON_OUT="$(mktemp /tmp/check_mon_XXXXXX.json)"
 MON_PID=""
-trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_A" "$POOL_B" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT" "$MON_ADDR_FILE" "$MON_OUT"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true; [ -n "$MON_PID" ] && kill "$MON_PID" 2>/dev/null || true' EXIT
+trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_A" "$POOL_B" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT" "$FR_DEEP" "$MON_ADDR_FILE" "$MON_OUT"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true; [ -n "$MON_PID" ] && kill "$MON_PID" 2>/dev/null || true' EXIT
 : > "$MON_ADDR_FILE"
 # Short windows so the smoke sees a full breach/recover cycle: 100 ms
 # ticks, 2 s fast window, 8 s slow window, drop-rate SLO at 20%.

@@ -1,9 +1,10 @@
-//! Allocation guard for the flight recorder's warm-path digest seam:
-//! recording per-level digests into a preallocated [`LevelDigestLog`]
-//! must be allocation-free, and a warm session's traversals must stay
-//! allocation-stable with the digest hook active (it always is — the
-//! leader records a digest per level unconditionally) and with the
-//! server-side digest *read* (`with_level_digest`) in the loop.
+//! Allocation guard for the flight recorder's warm-path digest seam: a
+//! warm session's traversals must stay allocation-stable with the
+//! per-level record active (it always is — the leader pushes one
+//! [`LevelDigest`](bfs_trace::LevelDigest) per level unconditionally)
+//! and with the server-side capped copy of that record
+//! (`with_level_digest`, first [`LEVEL_DIGEST_CAP`] levels) in the loop,
+//! including a traversal deeper than the cap.
 //!
 //! A counting global allocator observes every allocation in the process,
 //! so this file holds a single `#[test]` (parallel tests would pollute
@@ -16,8 +17,9 @@ use bfs_core::engine::{BfsOptions, BfsOutput};
 use bfs_core::session::BfsSession;
 use bfs_graph::gen::uniform::uniform_random;
 use bfs_graph::rng::rng_from_seed;
+use bfs_graph::{BuildOptions, GraphBuilder};
 use bfs_platform::Topology;
-use bfs_trace::{LevelDigest, LevelDigestLog, LEVEL_DIGEST_CAP};
+use bfs_trace::LEVEL_DIGEST_CAP;
 
 struct CountingAlloc;
 
@@ -49,74 +51,64 @@ fn counted(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
-fn digest(step: u32) -> LevelDigest {
-    LevelDigest {
-        step,
-        top_down: step % 2 == 1,
-        frontier: u64::from(step) * 3 + 1,
-        phase1_ns: 100,
-        phase2_ns: 200,
-        rearrange_ns: 50,
-    }
-}
-
 #[test]
 fn warm_digest_recording_allocates_nothing() {
-    // Direct proof on the log itself: record far past capacity, clear,
-    // record again — zero allocations once constructed.
-    let mut log = LevelDigestLog::with_capacity(8);
-    let allocs = counted(|| {
-        for step in 1..=32u32 {
-            log.record(digest(step));
-        }
-        log.clear();
-        for step in 1..=32u32 {
-            log.record(digest(step));
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "LevelDigestLog::record/clear must be allocation-free"
-    );
-    assert_eq!(log.entries().len(), 8);
-    assert_eq!(log.truncated(), 24);
-
-    // End to end through the engine: the leader's unconditional digest
-    // recording must not disturb the warm session's allocation-stable
-    // steady state, including with the serve-side digest read in the
-    // loop.
+    // A uniform random core plus a separate path component: sources in
+    // the core traverse a handful of levels, the path's end more than
+    // LEVEL_DIGEST_CAP.
     const N: usize = 4000;
-    let g = uniform_random(N, 8, &mut rng_from_seed(11));
+    const PATH_LEN: usize = 100;
+    let core = uniform_random(N, 8, &mut rng_from_seed(11));
+    let mut b = GraphBuilder::new(N + PATH_LEN, BuildOptions::default());
+    for u in 0..N as u32 {
+        for &v in core.neighbors(u) {
+            b.add_edge(u, v);
+        }
+    }
+    for v in N + 1..N + PATH_LEN {
+        b.add_edge(v as u32 - 1, v as u32);
+    }
+    let g = b.build();
+    let deep = N as u32;
+
     let topo = Topology::synthetic(1, 1);
     let mut session = BfsSession::new(&g, topo, BfsOptions::default());
     let mut out = BfsOutput::default();
-    let sources = [0u32, 17, 999, 3777];
+    let sources = [0u32, 17, deep, 999, 3777];
 
-    // Warmup: converge high-water buffer capacities.
+    // Warmup: converge high-water buffer and record capacities.
     for _ in 0..2 {
         for &src in &sources {
             session.run_reusing(src, &mut out);
         }
     }
 
-    let read_digest = |session: &BfsSession<'_>| {
-        session.with_level_digest(|log| {
+    // The serve-side copy: the first LEVEL_DIGEST_CAP levels plus the
+    // count of the rest.
+    let copy_digest = |session: &BfsSession<'_>, out: &BfsOutput| {
+        session.with_level_digest(|levels| {
             assert!(
-                !log.entries().is_empty(),
-                "a warm traversal must leave a per-level digest"
+                !levels.is_empty(),
+                "a warm traversal must leave a per-level record"
             );
-            assert!(log.entries().len() <= LEVEL_DIGEST_CAP);
-            assert!(log.entries().iter().all(|l| l.frontier > 0));
-            // Sum of per-level frontiers == vertices the run visited
-            // beyond the source (levels are recorded only when total>0).
-            (log.entries().len(), log.truncated())
+            assert_eq!(levels.len(), out.stats.steps as usize);
+            assert!(levels.iter().all(|l| l.frontier > 0));
+            let kept = &levels[..levels.len().min(LEVEL_DIGEST_CAP)];
+            (kept.to_vec(), (levels.len() - kept.len()) as u64)
         })
     };
 
     let pass = |session: &mut BfsSession<'_>, out: &mut BfsOutput| {
         for &src in &sources {
             session.run_reusing(src, out);
-            read_digest(session);
+            let (kept, truncated) = copy_digest(session, out);
+            if src == deep {
+                assert_eq!(kept.len(), LEVEL_DIGEST_CAP);
+                assert_eq!(truncated, out.stats.steps as u64 - LEVEL_DIGEST_CAP as u64);
+                assert!(truncated > 0);
+            } else {
+                assert_eq!(truncated, 0);
+            }
         }
     };
 
@@ -124,6 +116,6 @@ fn warm_digest_recording_allocates_nothing() {
     let a4 = counted(|| pass(&mut session, &mut out));
     assert_eq!(
         a3, a4,
-        "digest recording + reads must leave warm passes allocation-stable"
+        "the level record + capped copies must leave warm passes allocation-stable"
     );
 }

@@ -7,7 +7,7 @@ use bfs_core::pbv::PbvEncoding;
 use bfs_core::serial::serial_bfs;
 use bfs_core::session::BfsSession;
 use bfs_core::validate::validate_bfs_tree;
-use bfs_core::{DirectionPolicy, VisScheme};
+use bfs_core::{Direction, DirectionPolicy, VisScheme};
 use bfs_graph::builder::{BuildOptions, GraphBuilder};
 use bfs_graph::CsrGraph;
 use bfs_platform::Topology;
@@ -114,21 +114,46 @@ proptest! {
 
     /// Frontier sizes reported by the engine sum to the visited set (plus
     /// duplicate enqueues) and each step's frontier is bounded by the total
-    /// vertex count.
+    /// vertex count. Under every option combination, the session's
+    /// borrowed per-level record is exactly what the stats are views of:
+    /// steps `1..=steps` in order, frontiers `frontier_sizes[1..]`,
+    /// directions `step_directions`, no empty level.
     #[test]
     fn frontier_accounting_is_consistent(
         g in arb_graph(80, 240),
-        src_pick in 0usize..16,
+        opts in arb_options(),
+        src_picks in proptest::collection::vec(0usize..16, 1..=3),
     ) {
-        let src = (src_pick % g.num_vertices()) as u32;
-        let out = BfsEngine::new(&g, Topology::synthetic(2, 2), BfsOptions::default()).run(src);
-        prop_assert_eq!(out.stats.frontier_sizes[0], 1);
-        prop_assert_eq!(out.stats.steps as usize, out.stats.frontier_sizes.len() - 1);
-        let sum: u64 = out.stats.frontier_sizes[1..].iter().sum();
-        prop_assert_eq!(sum, out.stats.visited_vertices - 1 + out.stats.duplicate_enqueues);
-        for &f in &out.stats.frontier_sizes {
-            prop_assert!(f > 0);
-            prop_assert!(f <= g.num_vertices() as u64 + out.stats.duplicate_enqueues);
+        let mut session = BfsSession::new(&g, Topology::synthetic(2, 2), opts);
+        let mut out = BfsOutput::default();
+        for src_pick in src_picks {
+            let src = (src_pick % g.num_vertices()) as u32;
+            session.run_reusing(src, &mut out);
+            let stats = &out.stats;
+            prop_assert_eq!(stats.frontier_sizes[0], 1);
+            prop_assert_eq!(stats.steps as usize, stats.frontier_sizes.len() - 1);
+            let sum: u64 = stats.frontier_sizes[1..].iter().sum();
+            prop_assert_eq!(sum, stats.visited_vertices - 1 + stats.duplicate_enqueues);
+            for &f in &stats.frontier_sizes {
+                prop_assert!(f > 0);
+                prop_assert!(f <= g.num_vertices() as u64 + stats.duplicate_enqueues);
+            }
+            let (steps, frontiers, top_down) = session.with_level_digest(|levels| {
+                (
+                    levels.iter().map(|l| l.step).collect::<Vec<_>>(),
+                    levels.iter().map(|l| l.frontier).collect::<Vec<_>>(),
+                    levels.iter().map(|l| l.top_down).collect::<Vec<_>>(),
+                )
+            });
+            prop_assert_eq!(steps, (1..=stats.steps).collect::<Vec<_>>());
+            prop_assert!(frontiers.iter().all(|&f| f > 0));
+            prop_assert_eq!(&frontiers[..], &stats.frontier_sizes[1..]);
+            let td: Vec<bool> = stats
+                .step_directions
+                .iter()
+                .map(|&d| d == Direction::TopDown)
+                .collect();
+            prop_assert_eq!(top_down, td);
         }
     }
 
