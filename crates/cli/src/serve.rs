@@ -720,6 +720,8 @@ fn run_session(
             }
         }
         shared.busy.store(1, Ordering::Relaxed);
+        #[cfg(test)]
+        shed_hold::hold(state.local.port());
         served += serve_wave(idx, session, &mut wave, &mut out, state, &mut last_publish);
         shared.busy.store(0, Ordering::Relaxed);
     }
@@ -1744,6 +1746,8 @@ fn enqueue_and_reply(
             };
             let depth = adm.queue.len() as u64;
             drop(adm);
+            #[cfg(test)]
+            shed_hold::on_shed(state.local.port());
             record_failure_trace(
                 state, trace_id, query_desc, 503, "shed", msg, arrival, parse_ns,
             );
@@ -1796,6 +1800,51 @@ fn enqueue_and_reply(
             );
             state.http_errors.fetch_add(1, Ordering::Relaxed);
             http::write_json_error(stream, "504 Gateway Timeout", "dispatch timed out");
+        }
+    }
+}
+
+/// Test-only session hold, for tests that must observe a full admission
+/// queue: once a test arms a server (by its listening port), the next wave
+/// a session of that server pops waits — session busy, queue filling
+/// behind it — until the server sheds a request, then runs. One shot per
+/// arm; a hold gives up after [`shed_hold::MAX_HOLD`] so a test that never
+/// sheds cannot wedge its server.
+#[cfg(test)]
+mod shed_hold {
+    use std::sync::{Condvar, Mutex};
+    use std::time::{Duration, Instant};
+
+    pub(super) const MAX_HOLD: Duration = Duration::from_secs(10);
+
+    /// `(port, shed since armed)` per armed server.
+    static ARMED: Mutex<Vec<(u16, bool)>> = Mutex::new(Vec::new());
+    static SHED: Condvar = Condvar::new();
+
+    pub(super) fn arm(port: u16) {
+        let mut armed = ARMED.lock().unwrap();
+        armed.retain(|&(p, _)| p != port);
+        armed.push((port, false));
+    }
+
+    pub(super) fn on_shed(port: u16) {
+        let mut armed = ARMED.lock().unwrap();
+        if let Some(entry) = armed.iter_mut().find(|(p, _)| *p == port) {
+            entry.1 = true;
+            SHED.notify_all();
+        }
+    }
+
+    pub(super) fn hold(port: u16) {
+        let until = Instant::now() + MAX_HOLD;
+        let mut armed = ARMED.lock().unwrap();
+        while let Some(&(_, shed)) = armed.iter().find(|(p, _)| *p == port) {
+            let now = Instant::now();
+            if shed || now >= until {
+                armed.retain(|&(p, _)| p != port);
+                return;
+            }
+            armed = SHED.wait_timeout(armed, until - now).unwrap().0;
         }
     }
 }
@@ -1861,6 +1910,22 @@ mod tests {
             .and_then(|v| v.parse::<f64>().ok())
             .map(|v| v as u64)
             .unwrap_or(0)
+    }
+
+    /// The listening port of a `host:port` address.
+    fn port_of(addr: &str) -> u16 {
+        addr.rsplit(':').next().unwrap().parse().unwrap()
+    }
+
+    /// Polls until session 0 is executing a wave (or `job` has already
+    /// finished, or `deadline` passed).
+    fn wait_until_busy<T>(addr: &str, job: &std::thread::JoinHandle<T>, deadline: Instant) {
+        while Instant::now() < deadline && !job.is_finished() {
+            if series_value(&get(addr, "/metrics").body, "fastbfs_session_busy") >= 1 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 
     /// The result payload of a /query response body: everything between
@@ -2437,18 +2502,20 @@ mod tests {
         ]);
         let deadline = Instant::now() + Duration::from_secs(60);
         'attempt: loop {
-            // Park the lone session on a long batch, then lodge one
-            // query in the queue (cap 1) behind it.
+            // Park the lone session on a long batch, held until a
+            // request is shed, then lodge one query in the queue (cap 1)
+            // behind it.
+            shed_hold::arm(port_of(&addr));
             let addr2 = addr.clone();
             let batch = std::thread::spawn(move || {
                 let sources: Vec<String> = (0..512u32).map(|i| i.to_string()).collect();
                 let body = format!("{{\"sources\":[{}]}}", sources.join(","));
                 http::post_json(&addr2, "/query", &body, Duration::from_secs(60)).unwrap()
             });
-            // Give the dispatcher a moment to pop the batch so the
-            // filler lands in the emptied queue (shed is tolerated: the
-            // queue was full either way).
-            std::thread::sleep(Duration::from_millis(20));
+            // Wait for the dispatcher to pop the batch so the filler
+            // lands in the emptied queue (shed is tolerated: the queue
+            // was full either way).
+            wait_until_busy(&addr, &batch, deadline);
             let addr3 = addr.clone();
             let filler = std::thread::spawn(move || {
                 http::get(&addr3, "/query?src=0", Duration::from_secs(60)).unwrap()
@@ -2819,13 +2886,14 @@ mod tests {
         ]);
         let deadline = Instant::now() + Duration::from_secs(60);
         'attempt: loop {
+            shed_hold::arm(port_of(&addr));
             let addr2 = addr.clone();
             let batch = std::thread::spawn(move || {
                 let sources: Vec<String> = (0..512u32).map(|i| i.to_string()).collect();
                 let body = format!("{{\"sources\":[{}]}}", sources.join(","));
                 http::post_json(&addr2, "/query", &body, Duration::from_secs(60)).unwrap()
             });
-            std::thread::sleep(Duration::from_millis(20));
+            wait_until_busy(&addr, &batch, deadline);
             let addr3 = addr.clone();
             let filler = std::thread::spawn(move || {
                 http::get(&addr3, "/query?src=0", Duration::from_secs(60)).unwrap()

@@ -258,33 +258,12 @@ impl DepthParent {
         }
     }
 
-    /// Copies the run's result into caller-owned `(depths, parents)` vectors
-    /// (cleared first, capacity reused) — the zero-allocation extraction the
-    /// warm session path uses.
-    pub fn fill_arrays(&self, depths: &mut Vec<u32>, parents: &mut Vec<VertexId>) {
-        depths.clear();
-        parents.clear();
-        depths.reserve(self.len());
-        parents.reserve(self.len());
-        for w in self.words.iter() {
-            let word = w.load(Ordering::Relaxed);
-            if self.is_current(word) {
-                let (d, p) = self.unpack(word);
-                depths.push(d);
-                parents.push(p);
-            } else {
-                depths.push(INF_DEPTH);
-                parents.push(VertexId::MAX);
-            }
-        }
-    }
-
-    /// Extracts plain `(depths, parents)` vectors (end of traversal).
+    /// Extracts plain `(depths, parents)` vectors (end of traversal);
+    /// entries unassigned this run read `(INF_DEPTH, VertexId::MAX)`.
     pub fn into_arrays(self) -> (Vec<u32>, Vec<VertexId>) {
-        let mut depths = Vec::new();
-        let mut parents = Vec::new();
-        self.fill_arrays(&mut depths, &mut parents);
-        (depths, parents)
+        (0..self.len() as VertexId)
+            .map(|v| self.get(v).unwrap_or((INF_DEPTH, VertexId::MAX)))
+            .unzip()
     }
 }
 
@@ -414,18 +393,17 @@ mod tests {
     }
 
     #[test]
-    fn fill_arrays_reuses_capacity() {
-        let dp = DepthParent::new(100);
+    fn into_arrays_reads_only_the_current_epoch() {
+        let mut dp = DepthParent::new(100);
         dp.set(5, 1, 4);
-        let mut d = Vec::new();
-        let mut p = Vec::new();
-        dp.fill_arrays(&mut d, &mut p);
+        dp.advance_epoch();
+        dp.set(7, 2, 6);
+        let (d, p) = dp.into_arrays();
         assert_eq!(d.len(), 100);
-        assert_eq!(d[5], 1);
-        assert_eq!(p[5], 4);
-        let cap = d.capacity();
-        dp.fill_arrays(&mut d, &mut p);
-        assert_eq!(d.capacity(), cap, "second fill must not reallocate");
+        assert_eq!((d[7], p[7]), (2, 6));
+        // Written in an earlier epoch: stale, so unassigned.
+        assert_eq!((d[5], p[5]), (INF_DEPTH, VertexId::MAX));
+        assert_eq!(d.iter().filter(|&&x| x != INF_DEPTH).count(), 1);
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! Scheduling modes reproduce the three series of Figure 5; the VIS scheme
 //! reproduces the series of Figure 4.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use bfs_graph::CsrGraph;
+use bfs_graph::{CsrGraph, VertexPermutation};
 use bfs_metrics::{Counter as Metric, Hist as MetricHist, MetricsRegistry, MetricsSnapshot};
 use bfs_perf::{PerfCounts, PerfGroup, PerfUnavailable, ENGINE_EVENTS};
 use bfs_platform::{HugepageUnavailable, SocketPool, Topology};
@@ -242,6 +242,13 @@ struct Counters {
     rearrange: Duration,
     /// Nanoseconds spent waiting at the three per-step barriers.
     barrier_ns: u64,
+    /// Run start to leaving the last level barrier (the leader's is
+    /// `TraversalStats::total_time`).
+    levels_time: Duration,
+    /// This thread's epilogue share of `visited_vertices` and
+    /// `traversed_edges`.
+    visited: u64,
+    traversed: u64,
 }
 
 /// Per-thread, per-step measurements, overwritten each step. The owning
@@ -573,13 +580,17 @@ impl<'g> BfsEngine<'g> {
     pub fn run_traced(&self, source: VertexId, sink: &dyn TraceSink) -> BfsOutput {
         let mut state = RunState::new(self, false);
         let mut out = BfsOutput::default();
-        self.run_with_state(&mut state, source, sink, "engine", &mut out);
+        self.run_with_state(&mut state, source, None, sink, "engine", &mut out);
         out
     }
 
     /// The traversal core: resets and seeds `state` for `source`, runs the
     /// SPMD region of Figure 3 on the persistent pool, and writes results
     /// into `out`, reusing its allocations.
+    ///
+    /// The region ends with the [`materialize`] epilogue on every lane.
+    /// With `perm`, `source` is an internal id and the answer comes out in
+    /// external id order. `stats.total_time` stops before the epilogue.
     ///
     /// [`run_traced`](Self::run_traced) calls this with a throwaway
     /// [`RunState`]; a [`crate::session::BfsSession`] calls it with a
@@ -589,6 +600,7 @@ impl<'g> BfsEngine<'g> {
         &self,
         state: &mut RunState,
         source: VertexId,
+        perm: Option<&VertexPermutation>,
         sink: &dyn TraceSink,
         engine_name: &str,
         out: &mut BfsOutput,
@@ -634,6 +646,12 @@ impl<'g> BfsEngine<'g> {
         // Out-degrees of everything claimed so far (duplicates included):
         // the explored side of the α rule's unexplored-edge estimate.
         let explored = AtomicU64::new(source_degree);
+        // Sized here, written by the epilogue lanes; a warm output already
+        // has length `n`, so this is a no-op on the session path.
+        out.depths.resize(n, INF_DEPTH);
+        out.parents.resize(n, VertexId::MAX);
+        let depths = as_atomic(&mut out.depths);
+        let parents = as_atomic(&mut out.parents);
 
         let counters = self.pool.run(|ctx| {
             let tid = ctx.thread_id;
@@ -660,6 +678,9 @@ impl<'g> BfsEngine<'g> {
                 bottom_up: Duration::ZERO,
                 rearrange: Duration::ZERO,
                 barrier_ns: 0,
+                levels_time: Duration::ZERO,
+                visited: 0,
+                traversed: 0,
             };
             // Direction of the level being executed. Every thread evaluates
             // the same pure decision on accumulators that are stable between
@@ -898,6 +919,10 @@ impl<'g> BfsEngine<'g> {
                 }
                 step += 1;
             }
+            c.levels_time = t0.elapsed();
+            // `DP` is final: nobody writes it after the last barrier.
+            (c.visited, c.traversed) =
+                materialize(self.graph, &state.dp, perm, tid, nthreads, depths, parents);
             // Flush the region's thread-scope totals into this thread's
             // metrics slot: ten plain adds, once per query.
             mw.add(Metric::Phase1Ns, c.phase1.as_nanos() as u64);
@@ -922,17 +947,9 @@ impl<'g> BfsEngine<'g> {
             c
         });
 
-        let total_time = t0.elapsed();
-        state.dp.fill_arrays(&mut out.depths, &mut out.parents);
-        let mut visited = 0u64;
-        let mut traversed = 0u64;
-        #[allow(clippy::needless_range_loop)] // v is a vertex id used against two arrays
-        for v in 0..n {
-            if out.depths[v] != INF_DEPTH {
-                visited += 1;
-                traversed += self.graph.degree(v as u32) as u64;
-            }
-        }
+        let total_time = counters[0].levels_time;
+        let visited: u64 = counters.iter().map(|c| c.visited).sum();
+        let traversed: u64 = counters.iter().map(|c| c.traversed).sum();
         // Views of the level record, built in `out`'s retained vectors.
         // `frontier_sizes[0]` is the source frontier (see `TraversalStats`).
         let mut frontier_sizes = std::mem::take(&mut out.stats.frontier_sizes);
@@ -1350,6 +1367,61 @@ fn level_direction(level: &LevelDigest) -> Direction {
     }
 }
 
+/// The run's epilogue on lane `tid` of `nthreads`: one pass over the lane's
+/// contiguous range of internal ids that reads each `DP` word once, writes
+/// the vertex's depth and parent (through the inverse map; unreached:
+/// `INF_DEPTH` / `VertexId::MAX`) at its external index, and returns the
+/// range's `(visited, traversed)`, traversed being the internal-graph
+/// degree sum. Ranging over internal ids keeps every read sequential and
+/// scatters only the writes; ranging over external ids measured slower.
+///
+/// The lanes' writes never overlap: the ranges partition `0..n`, and the
+/// inverse map of a [`VertexPermutation`] is a bijection on `0..n` (every
+/// constructor checks or builds one, and the graph pins its length to
+/// `n`). The stores are relaxed atomics only because the arrays are shared;
+/// they compile to plain moves, and the pool's finish barrier (an AcqRel
+/// episode) publishes them to the caller.
+fn materialize(
+    graph: &CsrGraph,
+    dp: &DepthParent,
+    perm: Option<&VertexPermutation>,
+    tid: usize,
+    nthreads: usize,
+    depths: &[AtomicU32],
+    parents: &[AtomicU32],
+) -> (u64, u64) {
+    let n = dp.len();
+    let ids = (n * tid / nthreads) as VertexId..(n * (tid + 1) / nthreads) as VertexId;
+    let inverse = perm.map(VertexPermutation::inverse);
+    let external = |v: VertexId| inverse.map_or(v, |inv| inv[v as usize]);
+    let (mut visited, mut traversed) = (0u64, 0u64);
+    for v in ids {
+        let (depth, parent) = match dp.get(v) {
+            Some((depth, parent)) => {
+                visited += 1;
+                traversed += graph.degree(v) as u64;
+                (depth, external(parent))
+            }
+            None => (INF_DEPTH, VertexId::MAX),
+        };
+        let ext = external(v) as usize;
+        depths[ext].store(depth, Ordering::Relaxed);
+        parents[ext].store(parent, Ordering::Relaxed);
+    }
+    (visited, traversed)
+}
+
+/// Views an answer array as relaxed-atomic cells, so every epilogue lane
+/// can write its share through a shared reference.
+fn as_atomic(v: &mut [u32]) -> &[AtomicU32] {
+    const { assert!(std::mem::align_of::<AtomicU32>() == std::mem::align_of::<u32>()) };
+    // SAFETY: `AtomicU32` has the size and bit validity of `u32` and,
+    // checked above, its alignment, so the cast preserves layout. The view
+    // holds the exclusive borrow of `v` for its whole lifetime, so no
+    // non-atomic access can alias the cells while lanes write them.
+    unsafe { &*(v as *mut [u32] as *const [AtomicU32]) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1755,7 +1827,7 @@ mod tests {
         let mut state = RunState::new(&engine, true);
         let mut out = BfsOutput::default();
         for src in [0u32, 500, 999] {
-            engine.run_with_state(&mut state, src, &NoopSink, "engine", &mut out);
+            engine.run_with_state(&mut state, src, None, &NoopSink, "engine", &mut out);
             assert!(
                 state.frontier_bitmap.is_clear(),
                 "bitmap must be all-zero at run end (source {src})"

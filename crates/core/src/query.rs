@@ -430,7 +430,7 @@ mod tests {
         let g2 = two_cliques(3, 3);
         let mut s2 = session(&g2);
         s2.run_reusing(0, &mut out);
-        assert_eq!(out.depths[4] as u32, INF_DEPTH);
+        assert_eq!(out.depths[4], INF_DEPTH);
         assert!(extract_path(&out, 0, 4).is_empty());
     }
 

@@ -41,11 +41,10 @@
 //! assert_eq!(session.runs(), 3);
 //! ```
 
-use bfs_graph::{CsrGraph, VertexPermutation};
+use bfs_graph::CsrGraph;
 use bfs_platform::Topology;
 use bfs_trace::{NoopSink, TraceSink};
 
-use crate::dp::INF_DEPTH;
 use crate::engine::{BfsEngine, BfsOptions, BfsOutput, RunState};
 use crate::VertexId;
 
@@ -58,22 +57,23 @@ use crate::VertexId;
 ///
 /// # Relabeled graphs
 ///
-/// When the graph carries a [`VertexPermutation`] (it was rewritten by
-/// [`bfs_graph::degree_order`]), the session is the translation boundary:
-/// sources are mapped external → internal before the traversal and the
-/// returned `depths`/`parents` arrays are permuted back to external id
-/// order afterwards, with parents translated through the inverse map.
-/// Callers — the query layer, the serve endpoints, tests — never see
-/// internal ids. The translation buffers live on the session, so warm
-/// queries stay allocation-free; translation time is outside
+/// When the graph carries a [`bfs_graph::VertexPermutation`] (it was
+/// rewritten by [`bfs_graph::degree_order`]), the session is the
+/// translation boundary: it maps the source external → internal and hands
+/// the permutation to the engine. Callers — the query layer, the serve
+/// endpoints, tests — never see internal ids.
+///
+/// The answer is written by the engine's pool, not the caller: after the
+/// last level barrier each lane takes a contiguous range of internal ids,
+/// reads each `DP` word once, writes depth and parent (translated through
+/// the inverse map) at the vertex's external index in `out`'s own arrays,
+/// and counts the range's visited vertices and traversed edges. The
+/// permutation is a bijection, so the lanes' writes never overlap. Warm
+/// queries stay allocation-free, and this epilogue is outside
 /// `stats.total_time` (it is answer formatting, not traversal).
 pub struct BfsSession<'g> {
     engine: BfsEngine<'g>,
     state: RunState,
-    /// Scratch pair for the external-order permute of `depths`/`parents`;
-    /// swapped with the output's vectors each query, so both sides keep
-    /// their high-water capacity.
-    translate: (Vec<u32>, Vec<VertexId>),
 }
 
 impl<'g> BfsSession<'g> {
@@ -85,11 +85,7 @@ impl<'g> BfsSession<'g> {
     /// Wraps an existing engine.
     pub fn from_engine(engine: BfsEngine<'g>) -> Self {
         let state = RunState::new(&engine, true);
-        Self {
-            engine,
-            state,
-            translate: (Vec::new(), Vec::new()),
-        }
+        Self { engine, state }
     }
 
     /// [`BfsSession::new`] with an explicit `DP` epoch-stamp width.
@@ -105,11 +101,7 @@ impl<'g> BfsSession<'g> {
     ) -> Self {
         let engine = BfsEngine::new(graph, topology, options);
         let state = RunState::with_epoch_bits(&engine, true, Some(epoch_bits));
-        Self {
-            engine,
-            state,
-            translate: (Vec::new(), Vec::new()),
-        }
+        Self { engine, state }
     }
 
     /// The wrapped engine.
@@ -195,21 +187,18 @@ impl<'g> BfsSession<'g> {
         sink: &dyn TraceSink,
         out: &mut BfsOutput,
     ) {
-        match self.engine.graph().permutation() {
-            None => {
-                self.engine
-                    .run_with_state(&mut self.state, source, sink, "session", out);
-            }
+        let perm = self.engine.graph().permutation();
+        let internal = match perm {
+            None => source,
             Some(perm) => {
                 // Source ids arrive in external space; reject before the
                 // forward map would turn the mistake into an index panic.
                 assert!((source as usize) < perm.len(), "source out of range");
-                let internal = perm.to_internal(source);
-                self.engine
-                    .run_with_state(&mut self.state, internal, sink, "session", out);
-                translate_output(perm, out, &mut self.translate);
+                perm.to_internal(source)
             }
-        }
+        };
+        self.engine
+            .run_with_state(&mut self.state, internal, perm, sink, "session", out);
     }
 
     /// Lends the last run's per-level record: one [`bfs_trace::LevelDigest`]
@@ -245,34 +234,6 @@ impl<'g> BfsSession<'g> {
     ) -> Vec<BfsOutput> {
         sources.iter().map(|&s| self.run_traced(s, sink)).collect()
     }
-}
-
-/// Permutes a finished traversal's `depths`/`parents` from internal layout
-/// order back to external id order, translating parent ids through the
-/// inverse map. Unreached sentinels (`INF_DEPTH` / `VertexId::MAX`) pass
-/// through unchanged. `scratch` supplies the destination buffers and is
-/// swapped with the output's, so neither side reallocates once warm.
-fn translate_output(
-    perm: &VertexPermutation,
-    out: &mut BfsOutput,
-    scratch: &mut (Vec<u32>, Vec<VertexId>),
-) {
-    let (depths, parents) = scratch;
-    depths.clear();
-    parents.clear();
-    depths.reserve(out.depths.len());
-    parents.reserve(out.parents.len());
-    for &internal in perm.forward() {
-        let depth = out.depths[internal as usize];
-        depths.push(depth);
-        parents.push(if depth == INF_DEPTH {
-            VertexId::MAX
-        } else {
-            perm.to_external(out.parents[internal as usize])
-        });
-    }
-    std::mem::swap(&mut out.depths, depths);
-    std::mem::swap(&mut out.parents, parents);
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 //!
 //! Relabeling changes internal vertex ids, so the pass returns a
 //! [`VertexPermutation`] and retains it on the relabeled [`CsrGraph`].
-//! Everything above the engine (sessions, the query layer, the serve
-//! endpoints) translates sources and answers through the permutation:
-//! external ids never change, relabeling is invisible to clients.
+//! Sessions translate sources through it on the way in, and the engine's
+//! answer epilogue writes depths and parents through it on the way out, so
+//! the query layer and the serve endpoints only ever see external ids:
+//! relabeling is invisible to clients.
 
 use serde::{Deserialize, Serialize};
 

@@ -434,7 +434,7 @@ MON_PID=""
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> all checks passed"

@@ -90,7 +90,7 @@ fn partition_balances_vertices_like_the_socket_rule() {
         },
     );
     let p = d.partition();
-    let mut counts = vec![0usize; 4];
+    let mut counts = [0usize; 4];
     for v in 0..g.num_vertices() as u32 {
         counts[p.owner(v)] += 1;
     }

@@ -1,6 +1,7 @@
 //! Allocation guard for persistent query sessions: once warm, a session
 //! query must not allocate any traversal storage — no `DP`/`VIS` arrays, no
-//! frontier or bin buffers. The only heap activity left on the warm path is
+//! frontier or bin buffers, and on a relabeled graph no translation
+//! buffers. The only heap activity left on the warm path is
 //! the pool's constant-size result collection and the per-step work-division
 //! plans, both tiny and independent of |V|.
 //!
@@ -14,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bfs_core::engine::{BfsEngine, BfsOptions, BfsOutput};
 use bfs_core::session::BfsSession;
+use bfs_graph::degree_order;
 use bfs_graph::gen::uniform::uniform_random;
 use bfs_graph::rng::rng_from_seed;
 use bfs_platform::Topology;
@@ -113,5 +115,31 @@ fn warm_session_queries_allocate_no_traversal_storage() {
         cold_bytes >= warm_bytes + dp_bytes,
         "cold query must pay at least the DP array over a warm one \
          (cold {cold_bytes}, warm {warm_bytes}, DP {dp_bytes})"
+    );
+
+    // A relabeled graph: the engine's epilogue writes the answer straight
+    // into external id order in `out`'s own arrays, so translation adds no
+    // per-query storage either.
+    let (relabeled, _) = degree_order(&g);
+    let mut session = BfsSession::new(&relabeled, topo, BfsOptions::default());
+    session.run_reusing(0, &mut out);
+    session.run_reusing(0, &mut out);
+    let capacity = session.buffer_capacity_words();
+    let (warm_allocs, warm_bytes) = counted(|| {
+        session.run_reusing(0, &mut out);
+    });
+    let (warm_allocs_2, warm_bytes_2) = counted(|| {
+        session.run_reusing(0, &mut out);
+    });
+    assert_eq!(
+        (warm_allocs, warm_bytes),
+        (warm_allocs_2, warm_bytes_2),
+        "relabeled warm queries must be identical"
+    );
+    assert_eq!(session.buffer_capacity_words(), capacity);
+    assert!(
+        warm_bytes < dp_bytes / 4,
+        "relabeled warm query allocated {warm_bytes} bytes — that is \
+         traversal or translation storage, not bookkeeping (DP alone is {dp_bytes})"
     );
 }
