@@ -155,36 +155,52 @@ impl DirectionPolicy {
     }
 }
 
-/// Dense current-frontier bitmap for bottom-up steps: one bit per vertex,
-/// shared across threads.
+/// Dense frontier bitmaps for bottom-up steps: two halves of one bit per
+/// vertex each, shared across threads, in one arena.
 ///
-/// The sparse per-thread frontier lists stay the engine's source of truth;
-/// at a direction switch (and on every bottom-up level) each thread ORs its
-/// own list into the bitmap (sparse → dense) before the barrier, and clears
-/// exactly those bits after the level's last read barrier — so the bitmap is
-/// all-zero between steps and across session reuse, with no O(|V|) sweep
-/// anywhere.
+/// A bottom-up level reads the current frontier from one half and records
+/// each vertex it claims in the other, so the next bottom-up level finds
+/// its frontier already dense (the hand-off). The scan is ascending, so a
+/// lane builds each 64-bit word in a register (`BitmapWriter`) and ORs it
+/// in once, with a relaxed `fetch_or`: at most one read-modify-write per
+/// word a lane touches instead of one per claimed vertex. The OR stays
+/// atomic because lanes' scan ranges can split a word. Only the first
+/// bottom-up level of a run of them converts the sparse per-thread
+/// frontier lists (sparse → dense, [`set_list`](Self::set_list)); the lists
+/// stay the engine's source of truth for top-down levels.
+///
+/// Each half is zeroed once its readers are done: after a bottom-up
+/// level's read barrier every lane clears its contiguous stripe of the
+/// half the level consumed ([`clear_stripe`](Self::clear_stripe), O(n/64/T)
+/// words), and a top-down level that follows a bottom-up one clears the
+/// handed-off half the same way. Both halves are therefore all-zero at
+/// every run end, which is what makes session reuse free.
 ///
 /// Bit layout follows vertex order, so a bin's bits are contiguous: scanning
 /// vertex ranges in bin order keeps the probed window of the bitmap
 /// cache-resident alongside the bin's `VIS`/`DP` stripe (§III-A).
 pub struct FrontierBitmap {
+    /// Half `h` is `words[h * half_words..(h + 1) * half_words]`.
     words: bfs_platform::MaybeHuge<AtomicU64>,
+    half_words: usize,
 }
 
 impl FrontierBitmap {
-    /// A bitmap covering `n` vertices (all bits clear), heap-backed. `n = 0`
-    /// is valid and allocates nothing — the forced-top-down engine's case.
+    /// Two halves covering `n` vertices each (all bits clear), heap-backed.
+    /// `n = 0` is valid and allocates nothing — the forced-top-down engine's
+    /// case.
     pub fn new(n: usize) -> Self {
         Self::new_backed(n, false)
     }
 
     /// [`FrontierBitmap::new`] with an explicit backing request: when
-    /// `huge`, the bitmap is placed in a 2 MiB-aligned hugepage arena if the
-    /// host supports it (silent heap fallback otherwise).
+    /// `huge`, both halves are placed in one 2 MiB-aligned hugepage arena if
+    /// the host supports it (silent heap fallback otherwise).
     pub fn new_backed(n: usize, huge: bool) -> Self {
+        let half_words = n.div_ceil(64);
         Self {
-            words: bfs_platform::MaybeHuge::zeroed(n.div_ceil(64), huge),
+            words: bfs_platform::MaybeHuge::zeroed(2 * half_words, huge),
+            half_words,
         }
     }
 
@@ -193,43 +209,97 @@ impl FrontierBitmap {
         self.words.is_huge()
     }
 
-    /// Heap bytes held.
+    /// Heap bytes held (both halves).
     pub fn footprint(&self) -> usize {
         self.words.len() * 8
     }
 
-    /// Sets `v`'s bit (relaxed `fetch_or`; concurrent setters are fine).
-    #[inline]
-    pub fn set(&self, v: VertexId) {
-        self.words[(v >> 6) as usize].fetch_or(1 << (v & 63), Ordering::Relaxed);
+    fn half(&self, half: usize) -> &[AtomicU64] {
+        &self.words[half * self.half_words..(half + 1) * self.half_words]
     }
 
-    /// Reads `v`'s bit (relaxed; callers sequence the read after the
-    /// publishing barrier).
+    /// Reads `v`'s bit in `half` (relaxed; callers sequence the read after
+    /// the publishing barrier).
     #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.words[(v >> 6) as usize].load(Ordering::Relaxed) & (1 << (v & 63)) != 0
+    pub fn contains(&self, half: usize, v: VertexId) -> bool {
+        self.words[half * self.half_words + (v >> 6) as usize].load(Ordering::Relaxed)
+            & (1 << (v & 63))
+            != 0
     }
 
-    /// ORs every vertex of `list` into the bitmap (the sparse → dense
-    /// conversion; each thread converts its own frontier list).
-    pub fn set_list(&self, list: &[VertexId]) {
-        for &v in list {
-            self.set(v);
+    /// A word-coalescing writer into `half`.
+    pub(crate) fn writer(&self, half: usize) -> BitmapWriter<'_> {
+        BitmapWriter {
+            words: self.half(half),
+            word: 0,
+            bits: 0,
         }
     }
 
-    /// Clears every vertex of `list` (the O(frontier) un-publish that keeps
-    /// the bitmap zero between steps without an O(|V|) sweep).
-    pub fn clear_list(&self, list: &[VertexId]) {
+    /// ORs every vertex of `list` into `half` (the sparse → dense
+    /// conversion; each thread converts its own frontier list). Runs of
+    /// ids sharing a word cost one `fetch_or`.
+    pub fn set_list(&self, half: usize, list: &[VertexId]) {
+        let mut w = self.writer(half);
         for &v in list {
-            self.words[(v >> 6) as usize].fetch_and(!(1 << (v & 63)), Ordering::Relaxed);
+            w.insert(v);
+        }
+        w.flush();
+    }
+
+    /// Zeroes lane `lane`'s contiguous stripe `[W·lane/L, W·(lane+1)/L)`
+    /// of the `W` words of `half`, `L` being `lanes`. Plain relaxed stores:
+    /// callers run it only after every reader of `half` is past a barrier,
+    /// and before the barrier that lets anyone write it.
+    pub fn clear_stripe(&self, half: usize, lane: usize, lanes: usize) {
+        for w in &self.half(half)[stripe(self.half_words, lane, lanes)] {
+            w.store(0, Ordering::Relaxed);
         }
     }
 
-    /// True when no bit is set (test hook for the clear protocol).
+    /// True when no bit is set in either half (test hook for the clear
+    /// protocol).
     pub fn is_clear(&self) -> bool {
         self.words.iter().all(|w| w.load(Ordering::Relaxed) == 0)
+    }
+}
+
+/// Lane `lane`'s contiguous stripe `[W·lane/L, W·(lane+1)/L)` of `words`
+/// words; the stripes of lanes `0..lanes` partition `0..words` (some are
+/// empty when `words < lanes`).
+pub(crate) fn stripe(words: usize, lane: usize, lanes: usize) -> std::ops::Range<usize> {
+    words * lane / lanes..words * (lane + 1) / lanes
+}
+
+/// Builds one bitmap word at a time in a register and ORs it into the half
+/// when the next id falls in another word, or on [`flush`](Self::flush).
+/// Any id order is correct; ascending order gives one `fetch_or` per word.
+pub(crate) struct BitmapWriter<'a> {
+    words: &'a [AtomicU64],
+    word: usize,
+    bits: u64,
+}
+
+impl BitmapWriter<'_> {
+    /// Adds `v`'s bit.
+    #[inline]
+    pub(crate) fn insert(&mut self, v: VertexId) {
+        let w = (v >> 6) as usize;
+        if w != self.word {
+            self.flush();
+            self.word = w;
+        }
+        self.bits |= 1 << (v & 63);
+    }
+
+    /// ORs the pending word in (a no-op when nothing is pending). Call it
+    /// before the barrier that publishes the half.
+    #[inline]
+    pub(crate) fn flush(&mut self) {
+        if self.bits != 0 {
+            self.words[self.word].fetch_or(self.bits, Ordering::Relaxed);
+            self.bits = 0;
+        }
     }
 }
 
@@ -297,15 +367,97 @@ mod tests {
     #[test]
     fn bitmap_set_contains_clear_roundtrip() {
         let bm = FrontierBitmap::new(200);
+        assert_eq!(bm.footprint(), 2 * 4 * 8);
         assert!(bm.is_clear());
-        bm.set_list(&[0, 63, 64, 127, 199]);
-        for v in [0u32, 63, 64, 127, 199] {
-            assert!(bm.contains(v));
+        let ids = [0u32, 63, 64, 127, 199];
+        bm.set_list(0, &ids);
+        for v in ids {
+            assert!(bm.contains(0, v));
+            assert!(!bm.contains(1, v), "halves must not alias");
         }
-        assert!(!bm.contains(1));
-        assert!(!bm.contains(128));
-        bm.clear_list(&[0, 63, 64, 127, 199]);
+        assert!(!bm.contains(0, 1));
+        assert!(!bm.contains(0, 128));
+        // The other half fills independently; unsorted input still lands.
+        bm.set_list(1, &[199, 5, 64, 6]);
+        for v in [5u32, 6, 64, 199] {
+            assert!(bm.contains(1, v));
+        }
+        assert!(!bm.contains(0, 5));
+        // One lane's stripe of one half leaves the rest set.
+        bm.clear_stripe(0, 0, 2);
+        assert!(!bm.contains(0, 0) && !bm.contains(0, 127));
+        assert!(bm.contains(0, 199) && bm.contains(1, 5));
+        assert!(!bm.is_clear());
+        bm.clear_stripe(0, 1, 2);
+        assert!(!bm.is_clear(), "is_clear must see the second half");
+        for lane in 0..3 {
+            bm.clear_stripe(1, lane, 3);
+        }
         assert!(bm.is_clear());
+    }
+
+    #[test]
+    fn stripes_partition_the_words() {
+        for words in [0usize, 1, 2, 3, 6, 7, 64, 1000] {
+            for lanes in 1..=7 {
+                let mut next = 0;
+                for lane in 0..lanes {
+                    let r = stripe(words, lane, lanes);
+                    assert_eq!(r.start, next, "{words} words, {lanes} lanes");
+                    assert!(r.end >= r.start);
+                    next = r.end;
+                }
+                assert_eq!(next, words, "{words} words, {lanes} lanes");
+            }
+        }
+        // Every stripe cleared by its own lane zeroes the whole half.
+        for n in [1usize, 63, 64, 65, 127, 1000] {
+            for lanes in 1..=7 {
+                let bm = FrontierBitmap::new(n);
+                let all: Vec<VertexId> = (0..n as VertexId).collect();
+                bm.set_list(1, &all);
+                for lane in 0..lanes {
+                    bm.clear_stripe(1, lane, lanes);
+                }
+                assert!(bm.is_clear(), "n = {n}, {lanes} lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn writers_sharing_a_word_both_land() {
+        let bm = FrontierBitmap::new(130);
+        // Two lanes whose ascending ranges split word 1 (ids 64..128).
+        let mut a = bm.writer(1);
+        let mut b = bm.writer(1);
+        for v in [3u32, 60, 70, 90] {
+            a.insert(v);
+        }
+        for v in [91u32, 100, 129] {
+            b.insert(v);
+        }
+        a.flush();
+        b.flush();
+        for v in [3u32, 60, 70, 90, 91, 100, 129] {
+            assert!(bm.contains(1, v), "bit {v} lost");
+        }
+        assert!(!bm.contains(1, 92));
+        assert!(!bm.contains(0, 70));
+        // Concurrent writers into one word from two threads.
+        let bm = FrontierBitmap::new(64);
+        std::thread::scope(|s| {
+            for lane in 0..2u32 {
+                let bm = &bm;
+                s.spawn(move || {
+                    let mut w = bm.writer(0);
+                    for v in (lane * 32)..(lane * 32 + 32) {
+                        w.insert(v);
+                    }
+                    w.flush();
+                });
+            }
+        });
+        assert!((0..64).all(|v| bm.contains(0, v)));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Scheduling modes reproduce the three series of Figure 5; the VIS scheme
 //! reproduces the series of Figure 4.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bfs_graph::{CsrGraph, VertexPermutation};
@@ -286,11 +286,12 @@ pub(crate) struct RunState {
     pub(crate) bins: ThreadOwned<BinSet>,
     pub(crate) scratch: ThreadOwned<(Vec<VertexId>, Vec<u32>)>,
     step_scratch: ThreadOwned<StepScratch>,
-    /// Dense current-frontier bits for bottom-up levels (zero-sized for
-    /// forced-top-down engines). All-zero at every step boundary: each
-    /// thread ORs its frontier list in before the level and clears exactly
-    /// those bits after the level's last read barrier, so session reuse
-    /// needs no extra reset.
+    /// Dense frontier bits for bottom-up levels, two halves (zero-sized
+    /// for forced-top-down engines). A bottom-up level reads one half and
+    /// ORs its claims word by word into the other, which the next
+    /// bottom-up level reads; each lane zeroes its stripe of a half once
+    /// the half's readers are past a barrier. Both halves are all-zero at
+    /// run end, so session reuse needs no extra reset.
     frontier_bitmap: FrontierBitmap,
     /// Leader-only per-level record: one [`LevelDigest`] (step,
     /// direction, frontier size, critical-path phase ns) per non-empty
@@ -652,6 +653,8 @@ impl<'g> BfsEngine<'g> {
         out.parents.resize(n, VertexId::MAX);
         let depths = as_atomic(&mut out.depths);
         let parents = as_atomic(&mut out.parents);
+        // Next unclaimed epilogue chunk (see `materialize`).
+        let epilogue_cursor = AtomicUsize::new(0);
 
         let counters = self.pool.run(|ctx| {
             let tid = ctx.thread_id;
@@ -687,6 +690,12 @@ impl<'g> BfsEngine<'g> {
             // the previous step's last barrier and this step's first write,
             // so all threads agree without extra communication.
             let mut dir = Direction::TopDown;
+            // Bitmap half holding the current frontier on bottom-up levels;
+            // `handed_off` when the previous level was bottom-up and wrote
+            // it, so no sparse → dense conversion is needed (and a top-down
+            // level must zero it).
+            let mut bitmap_half = 0;
+            let mut handed_off = false;
             let mut step: u32 = 1;
             loop {
                 assert!(
@@ -718,13 +727,16 @@ impl<'g> BfsEngine<'g> {
                 }
                 let p1 = Instant::now();
                 match dir {
-                    // Bottom-up "Phase I": publish this thread's sparse
-                    // frontier list into the dense bitmap (sparse → dense
-                    // conversion; relaxed ORs, read only after the barrier).
+                    // Bottom-up "Phase I": unless the previous bottom-up
+                    // level handed the frontier off dense, publish this
+                    // thread's sparse frontier list into the bitmap
+                    // (relaxed ORs, read only after the barrier).
                     Direction::BottomUp => {
-                        state
-                            .bv_cur
-                            .read(tid, |f| state.frontier_bitmap.set_list(f));
+                        if !handed_off {
+                            state
+                                .bv_cur
+                                .read(tid, |f| state.frontier_bitmap.set_list(bitmap_half, f));
+                        }
                     }
                     Direction::TopDown => match self.options.scheduling {
                         Scheduling::NoMultiSocketOpt => {
@@ -769,7 +781,7 @@ impl<'g> BfsEngine<'g> {
                 match dir {
                     Direction::BottomUp => {
                         let p2 = Instant::now();
-                        self.bottom_up_step(tid, nthreads, state, step, &mut c);
+                        self.bottom_up_step(tid, nthreads, state, bitmap_half, step, &mut c);
                         d2 = p2.elapsed();
                         c.phase2 += d2;
                         c.bottom_up += d2;
@@ -896,16 +908,23 @@ impl<'g> BfsEngine<'g> {
                         );
                     }
                 }
-                // Un-publish this thread's frontier bits — every bitmap
-                // reader is past the barrier above, and the next level's
-                // build starts after the barrier below, so the bitmap is
-                // all-zero at every step boundary (and at run end, which is
-                // what makes session reuse free). Then swap own frontier
-                // buffers and clear the consumed one.
-                if dir == Direction::BottomUp {
+                // Zero this lane's stripe of the half nobody reads any
+                // more: every reader is past the barrier above, and the
+                // next write into it starts after the barrier below. A
+                // bottom-up level consumed `bitmap_half` and hands the
+                // other half (its claims) to the next level; a top-down
+                // level drops a handed-off half unread. Both halves are
+                // thus all-zero at run end, which is what makes session
+                // reuse free. Then swap own frontier buffers and clear the
+                // consumed one.
+                if dir == Direction::BottomUp || handed_off {
                     state
-                        .bv_cur
-                        .read(tid, |f| state.frontier_bitmap.clear_list(f));
+                        .frontier_bitmap
+                        .clear_stripe(bitmap_half, tid, nthreads);
+                }
+                handed_off = dir == Direction::BottomUp;
+                if handed_off {
+                    bitmap_half ^= 1;
                 }
                 state.bv_cur.with_mut(tid, |cur| {
                     state.bv_next.with_mut(tid, |next| {
@@ -921,8 +940,14 @@ impl<'g> BfsEngine<'g> {
             }
             c.levels_time = t0.elapsed();
             // `DP` is final: nobody writes it after the last barrier.
-            (c.visited, c.traversed) =
-                materialize(self.graph, &state.dp, perm, tid, nthreads, depths, parents);
+            (c.visited, c.traversed) = materialize(
+                self.graph,
+                &state.dp,
+                perm,
+                &epilogue_cursor,
+                depths,
+                parents,
+            );
             // Flush the region's thread-scope totals into this thread's
             // metrics slot: ten plain adds, once per query.
             mw.add(Metric::Phase1Ns, c.phase1.as_nanos() as u64);
@@ -1218,9 +1243,11 @@ impl<'g> BfsEngine<'g> {
 
     /// Bottom-up step kernel: scan this thread's share of the vertex space
     /// in bin order, probing each unclaimed vertex's neighbor list against
-    /// the frontier bitmap and claiming on the first hit (early exit — a
-    /// vertex with `k` frontier parents costs 1 check instead of `k` claim
-    /// attempts).
+    /// the frontier bitmap's `half` and claiming on the first hit (early
+    /// exit — a vertex with `k` frontier parents costs 1 check instead of
+    /// `k` claim attempts). Each claim also goes into the other half, one
+    /// `fetch_or` per word the scan fills, so the next bottom-up level gets
+    /// its frontier dense.
     ///
     /// Work division reuses the prefix-split machinery of `balance.rs` over
     /// one stream per bin (vertex ranges instead of PBV windows):
@@ -1230,7 +1257,11 @@ impl<'g> BfsEngine<'g> {
     /// `VIS`/`DP`/bitmap stripes stay cache-resident (§III-A) — and ranges
     /// are disjoint, so every vertex has exactly one claiming thread and the
     /// `DP` write is a single plain store with no race at all (stronger than
-    /// the benign top-down claim race).
+    /// the benign top-down claim race). The split stays static even though
+    /// the heavy ids of a degree-ordered graph sit at the front: claiming
+    /// scan chunks from a shared cursor put both lanes on that prefix at
+    /// once and measured slower (EXPERIMENTS.md, "Bottom-up bitmap
+    /// hand-off and chunked epilogue").
     ///
     /// Correctness requires the repo's symmetric doubled-edge convention:
     /// `neighbors(v)` must contain every frontier vertex that has an edge to
@@ -1240,6 +1271,7 @@ impl<'g> BfsEngine<'g> {
         tid: usize,
         nthreads: usize,
         state: &RunState,
+        half: usize,
         step: u32,
         c: &mut Counters,
     ) {
@@ -1266,6 +1298,9 @@ impl<'g> BfsEngine<'g> {
         let offsets = self.graph.offsets();
         let raw = self.graph.raw_neighbors();
         let bitmap = &state.frontier_bitmap;
+        // This level's claims, built a word at a time: the next level's
+        // frontier, handed off dense.
+        let mut claims = bitmap.writer(half ^ 1);
         let dp = &state.dp;
         let vis = &state.vis;
         state.bv_next.with_mut(tid, |next| {
@@ -1287,16 +1322,18 @@ impl<'g> BfsEngine<'g> {
                     }
                     for &parent in self.graph.neighbors(v) {
                         c.edge_checks += 1;
-                        if bitmap.contains(parent) {
+                        if bitmap.contains(half, parent) {
                             dp.set(v, step, parent);
                             vis.mark(v);
                             next.push(v);
+                            claims.insert(v);
                             break;
                         }
                     }
                 }
             }
         });
+        claims.flush();
     }
 
     /// Single-phase expansion for [`Scheduling::NoMultiSocketOpt`]: no
@@ -1367,46 +1404,57 @@ fn level_direction(level: &LevelDigest) -> Direction {
     }
 }
 
-/// The run's epilogue on lane `tid` of `nthreads`: one pass over the lane's
-/// contiguous range of internal ids that reads each `DP` word once, writes
-/// the vertex's depth and parent (through the inverse map; unreached:
-/// `INF_DEPTH` / `VertexId::MAX`) at its external index, and returns the
-/// range's `(visited, traversed)`, traversed being the internal-graph
-/// degree sum. Ranging over internal ids keeps every read sequential and
-/// scatters only the writes; ranging over external ids measured slower.
+/// Internal ids per epilogue chunk.
+const EPILOGUE_CHUNK: usize = 8192;
+
+/// The run's epilogue on one lane: claims chunks of [`EPILOGUE_CHUNK`]
+/// consecutive internal ids from `cursor` until `0..n` is used up, reads
+/// each `DP` word once, writes the vertex's depth and parent (through the
+/// inverse map; unreached: `INF_DEPTH` / `VertexId::MAX`) at its external
+/// index, and returns the lane's `(visited, traversed)`, traversed being
+/// the internal-graph degree sum. Ranging over internal ids keeps every
+/// read sequential and scatters only the writes; ranging over external ids
+/// measured slower. Claiming chunks rather than taking a fixed `n/T` range
+/// keeps the lanes even although degree-ordered relabeling puts the
+/// reached, heavy ids at the front.
 ///
-/// The lanes' writes never overlap: the ranges partition `0..n`, and the
-/// inverse map of a [`VertexPermutation`] is a bijection on `0..n` (every
-/// constructor checks or builds one, and the graph pins its length to
-/// `n`). The stores are relaxed atomics only because the arrays are shared;
-/// they compile to plain moves, and the pool's finish barrier (an AcqRel
-/// episode) publishes them to the caller.
+/// The lanes' writes never overlap: each chunk is claimed by exactly one
+/// `fetch_add`, so the chunks partition `0..n`, and the inverse map of a
+/// [`VertexPermutation`] is a bijection on `0..n` (every constructor checks
+/// or builds one, and the graph pins its length to `n`). The stores are
+/// relaxed atomics only because the arrays are shared; they compile to
+/// plain moves, and the pool's finish barrier (an AcqRel episode) publishes
+/// them to the caller.
 fn materialize(
     graph: &CsrGraph,
     dp: &DepthParent,
     perm: Option<&VertexPermutation>,
-    tid: usize,
-    nthreads: usize,
+    cursor: &AtomicUsize,
     depths: &[AtomicU32],
     parents: &[AtomicU32],
 ) -> (u64, u64) {
     let n = dp.len();
-    let ids = (n * tid / nthreads) as VertexId..(n * (tid + 1) / nthreads) as VertexId;
     let inverse = perm.map(VertexPermutation::inverse);
     let external = |v: VertexId| inverse.map_or(v, |inv| inv[v as usize]);
     let (mut visited, mut traversed) = (0u64, 0u64);
-    for v in ids {
-        let (depth, parent) = match dp.get(v) {
-            Some((depth, parent)) => {
-                visited += 1;
-                traversed += graph.degree(v) as u64;
-                (depth, external(parent))
-            }
-            None => (INF_DEPTH, VertexId::MAX),
-        };
-        let ext = external(v) as usize;
-        depths[ext].store(depth, Ordering::Relaxed);
-        parents[ext].store(parent, Ordering::Relaxed);
+    loop {
+        let start = cursor.fetch_add(EPILOGUE_CHUNK, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        for v in start as VertexId..(start + EPILOGUE_CHUNK).min(n) as VertexId {
+            let (depth, parent) = match dp.get(v) {
+                Some((depth, parent)) => {
+                    visited += 1;
+                    traversed += graph.degree(v) as u64;
+                    (depth, external(parent))
+                }
+                None => (INF_DEPTH, VertexId::MAX),
+            };
+            let ext = external(v) as usize;
+            depths[ext].store(depth, Ordering::Relaxed);
+            parents[ext].store(parent, Ordering::Relaxed);
+        }
     }
     (visited, traversed)
 }
@@ -1814,27 +1862,53 @@ mod tests {
 
     #[test]
     fn frontier_bitmap_is_zero_between_runs_and_sized_by_policy() {
-        let g = uniform_random(1000, 6, &mut rng_from_seed(3));
-        let topo = Topology::synthetic(2, 2);
-        let engine = BfsEngine::new(
-            &g,
-            topo,
-            BfsOptions {
-                direction: DirectionPolicy::auto(),
-                ..Default::default()
+        // Forced bottom-up chains the hand-off across every level; auto
+        // and the oscillating thresholds of
+        // `aggressive_thresholds_switch_mid_traversal` drop a handed-off
+        // half on a top-down level. The sizes put a word across two lanes'
+        // scan ranges and give fewer words than lanes.
+        let policies = [
+            DirectionPolicy::ForcedBottomUp,
+            DirectionPolicy::auto(),
+            DirectionPolicy::Auto {
+                alpha: 1e12,
+                beta: 1e-12,
             },
-        );
-        let mut state = RunState::new(&engine, true);
-        let mut out = BfsOutput::default();
-        for src in [0u32, 500, 999] {
-            engine.run_with_state(&mut state, src, None, &NoopSink, "engine", &mut out);
-            assert!(
-                state.frontier_bitmap.is_clear(),
-                "bitmap must be all-zero at run end (source {src})"
-            );
+        ];
+        let topologies = (1..=5)
+            .map(|t| Topology::synthetic(1, t))
+            .chain([Topology::synthetic(2, 2)]);
+        for topo in topologies {
+            for n in [1usize, 63, 64, 65, 127, 1000] {
+                let g = uniform_random(n, 3, &mut rng_from_seed(n as u64));
+                for direction in policies {
+                    let engine = BfsEngine::new(
+                        &g,
+                        topo,
+                        BfsOptions {
+                            direction,
+                            ..Default::default()
+                        },
+                    );
+                    let mut state = RunState::new(&engine, true);
+                    assert_eq!(state.frontier_bitmap.footprint(), 2 * n.div_ceil(64) * 8);
+                    let mut out = BfsOutput::default();
+                    for src in [0, n / 2, n - 1] {
+                        let src = src as VertexId;
+                        engine.run_with_state(&mut state, src, None, &NoopSink, "engine", &mut out);
+                        assert_eq!(out.depths, serial_bfs(&g, src).depths);
+                        assert!(
+                            state.frontier_bitmap.is_clear(),
+                            "both halves must be all-zero at run end \
+                             ({topo:?}, n = {n}, {direction:?}, source {src})"
+                        );
+                    }
+                }
+            }
         }
         // Forced-top-down engines pay nothing for the bitmap.
-        let td = BfsEngine::new(&g, topo, BfsOptions::default());
+        let g = uniform_random(1000, 6, &mut rng_from_seed(3));
+        let td = BfsEngine::new(&g, Topology::synthetic(2, 2), BfsOptions::default());
         assert_eq!(RunState::new(&td, false).frontier_bitmap.footprint(), 0);
     }
 

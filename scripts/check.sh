@@ -47,6 +47,12 @@ if [ -n "$BASELINE" ]; then
     target/release/fastbfs bench-compare "$BASELINE" "$SMOKE_TUNED" --allow-mismatch \
         --max-mteps-drop 0.99 --max-latency-rise 100 --max-direction-drift 1.0 \
         --max-qps-drop 0.99
+    # Every level bottom-up on 3 lanes of a relabeled graph: each level
+    # reads the frontier bitmap half its predecessor wrote, and 3 lanes
+    # split bitmap words and epilogue chunks unevenly; --validate checks
+    # every answer against the serial oracle.
+    target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bottom-up \
+        --threads 3 --relabel --hugepages --validate
 else
     echo "    (no BENCH_*.json baseline committed; skipping)"
 fi

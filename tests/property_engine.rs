@@ -117,18 +117,26 @@ proptest! {
     /// vertex count. Under every option combination, the session's
     /// borrowed per-level record is exactly what the stats are views of:
     /// steps `1..=steps` in order, frontiers `frontier_sizes[1..]`,
-    /// directions `step_directions`, no empty level.
+    /// directions `step_directions`, no empty level. Sessions run on odd
+    /// lane counts too, so warm sources cross the bitmap hand-off and the
+    /// chunked epilogue with lanes that split words and chunks unevenly;
+    /// every warm answer is checked against the serial oracle.
     #[test]
     fn frontier_accounting_is_consistent(
         g in arb_graph(80, 240),
         opts in arb_options(),
         src_picks in proptest::collection::vec(0usize..16, 1..=3),
+        sockets in 1usize..=2,
+        lanes in 1usize..=3,
     ) {
-        let mut session = BfsSession::new(&g, Topology::synthetic(2, 2), opts);
+        let mut session = BfsSession::new(&g, Topology::synthetic(sockets, lanes), opts);
         let mut out = BfsOutput::default();
         for src_pick in src_picks {
             let src = (src_pick % g.num_vertices()) as u32;
             session.run_reusing(src, &mut out);
+            let reference = serial_bfs(&g, src);
+            prop_assert_eq!(&out.depths, &reference.depths);
+            prop_assert!(validate_bfs_tree(&g, src, &out.depths, &out.parents).is_ok());
             let stats = &out.stats;
             prop_assert_eq!(stats.frontier_sizes[0], 1);
             prop_assert_eq!(stats.steps as usize, stats.frontier_sizes.len() - 1);

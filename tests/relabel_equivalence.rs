@@ -322,3 +322,38 @@ fn epilogue_covers_tiny_graphs_on_every_lane_count() {
         }
     }
 }
+
+/// The chunked epilogue's boundaries: graphs one id short of, exactly at,
+/// one past, and several chunks past the engine's 8192-id epilogue chunk,
+/// so lanes claim several chunks and the last one is partial.
+#[test]
+fn epilogue_chunks_cover_graphs_past_one_chunk() {
+    use bfs_graph::gen::uniform::uniform_random;
+    use bfs_graph::rng::rng_from_seed;
+
+    for n in [8191, 8192, 8193, 3 * 8192 + 5] {
+        let g = uniform_random(n, 2, &mut rng_from_seed(n as u64));
+        for relabel in [false, true] {
+            let served = if relabel {
+                degree_order(&g).0
+            } else {
+                g.clone()
+            };
+            for (sockets, lanes) in [(1, 1), (1, 2), (1, 3)] {
+                let topo = Topology::synthetic(sockets, lanes);
+                let opts = BfsOptions {
+                    direction: DirectionPolicy::auto(),
+                    ..Default::default()
+                };
+                let mut session = BfsSession::new(&served, topo, opts);
+                let mut out = BfsOutput::default();
+                for src in [0, n as u32 - 1, 0] {
+                    session.run_reusing(src, &mut out);
+                    check_epilogue_answer(&g, &served, topo, opts, src, &out).unwrap_or_else(|e| {
+                        panic!("n {n} relabel {relabel} topology {topo:?} source {src}: {e}")
+                    });
+                }
+            }
+        }
+    }
+}
