@@ -25,7 +25,6 @@ use bfs_graph::CsrGraph;
 use bfs_memsim::{BandwidthSpec, MachineConfig};
 use bfs_metrics::{AttributionContext, AttributionReport, MetricsSnapshot};
 use bfs_model::{predict, GraphParams, MachineSpec};
-use bfs_multinode::{DistBfs, DistOptions};
 use bfs_platform::Topology;
 use bfs_trace::{JsonlSink, RingSink, TeeSink, TraceEvent, TraceSink};
 use serde::Serialize;
@@ -132,7 +131,6 @@ subcommands:
   sim      simulated X5570 run   -i FILE [--source V] [--shrink F] [same engine flags]
   model    analytical prediction   --vertices N --degree D --depth DEP
                                    [--visited N] [--edges E] [--alpha A] [--sockets S]
-  dist     multi-node traversal    -i FILE [--nodes N] [--no-dedup] [--source V] [--validate]
   convert  text <-> binary         -i FILE -o FILE
   bench-compare                    BASELINE.json NEW.json — regression gate over two
            perf regression gate    reports of the same schema. fastbfs-run-v1 (from run
@@ -840,38 +838,6 @@ pub fn model(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `fastbfs dist`
-pub fn dist(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, &["no-dedup", "validate"])?;
-    let g = load_graph(o.require("i")?)?;
-    let src = pick_source(&g, &o)?;
-    let options = DistOptions {
-        nodes: o.num("nodes", 4)?,
-        dedup: !o.has("no-dedup"),
-    };
-    let out = DistBfs::new(&g, options).run(src);
-    println!(
-        "{} nodes: depth {}, |V'| {}, |E'| {}",
-        options.nodes, out.supersteps, out.visited_vertices, out.traversed_edges
-    );
-    println!(
-        "remote traffic: {} bytes total ({:.2} B/edge), bottleneck egress {} bytes",
-        out.traffic.total_remote(),
-        out.remote_bytes_per_edge(),
-        out.traffic.max_node_egress()
-    );
-    if o.has("validate") {
-        let reference = serial_bfs(&g, src);
-        if out.depths != reference.depths {
-            return Err("depths differ from serial BFS".into());
-        }
-        validate_bfs_tree(&g, src, &out.depths, &out.parents)
-            .map_err(|e| format!("invalid BFS tree: {e}"))?;
-        println!("validated");
-    }
-    Ok(())
-}
-
 /// `fastbfs convert`
 pub fn convert(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args, &[])?;
@@ -1052,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_and_dist_commands() {
+    fn sim_command() {
         let path = tmp("g3.fbfs");
         gen(&s(&[
             "--family",
@@ -1066,7 +1032,6 @@ mod tests {
         ]))
         .unwrap();
         sim(&s(&["-i", &path, "--shrink", "256"])).unwrap();
-        dist(&s(&["-i", &path, "--nodes", "3", "--validate"])).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

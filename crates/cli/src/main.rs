@@ -12,7 +12,6 @@
 //! fastbfs bench-compare baseline.json new.json --max-mteps-drop 0.1
 //! fastbfs sim   -i graph.fbfs --scheduling load-balanced
 //! fastbfs model --vertices 8388608 --degree 8 --depth 6 --alpha 0.6
-//! fastbfs dist  -i graph.fbfs --nodes 8
 //! fastbfs convert -i graph.txt -o graph.fbfs
 //! ```
 
@@ -44,7 +43,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         Some("bench-compare") => cmd::bench_compare(&args[1..]),
         Some("sim") => cmd::sim(&args[1..]),
         Some("model") => cmd::model(&args[1..]),
-        Some("dist") => cmd::dist(&args[1..]),
         Some("convert") => cmd::convert(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print!("{}", cmd::USAGE);

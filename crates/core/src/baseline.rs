@@ -105,7 +105,6 @@ fn flat_parallel_bfs(
             encoding: None,
             scheduling: None,
             vis: Some(format!("{scheme:?}")),
-            nodes: None,
         }));
     }
     let dp = DepthParent::new(n);

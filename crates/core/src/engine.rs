@@ -625,7 +625,6 @@ impl<'g> BfsEngine<'g> {
                 encoding: Some(format!("{:?}", self.encoding)),
                 scheduling: Some(format!("{:?}", self.options.scheduling)),
                 vis: Some(format!("{:?}", self.options.vis)),
-                nodes: None,
             }));
         }
 

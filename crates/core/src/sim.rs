@@ -351,7 +351,6 @@ pub fn simulate_bfs_traced(
             encoding: Some(format!("{encoding:?}")),
             scheduling: Some(format!("{:?}", cfg.scheduling)),
             vis: Some(format!("{:?}", cfg.vis)),
-            nodes: None,
         }));
     }
     // Running per-channel totals, so each step reports its delta.

@@ -13,15 +13,12 @@
 //!   proxies such as Cage15 / Nlpkkt160).
 //! * [`smallworld`] — Watts–Strogatz graphs with tunable diameter (proxies
 //!   for FreeScale1 / Wikipedia-like inputs).
-//! * [`ba`] — Barabási–Albert preferential attachment, a second scale-free
-//!   family for cross-checking R-MAT-specific effects.
 //! * [`classic`] — paths, cycles, stars, complete graphs, binary trees and
 //!   other deterministic shapes used by the test suites.
 //! * [`proxy`] — pre-sized configurations reproducing the rows of Table II.
 //!
 //! All generators are deterministic given a seed; see [`crate::rng`].
 
-pub mod ba;
 pub mod classic;
 pub mod grid;
 pub mod proxy;

@@ -1,13 +1,12 @@
 //! Typed trace events.
 //!
-//! Every engine in the workspace (threaded, baselines, simulated replay,
-//! multi-node) emits the same small vocabulary: one [`RunEvent`] describing
-//! the run's geometry, then one per-step event — [`StepEvent`] for wall-clock
-//! engines, [`MemStepEvent`] for the memory-traffic replay, and
-//! [`SuperstepEvent`] for the distributed driver.
+//! Every engine in the workspace (threaded, baselines, simulated replay)
+//! emits the same small vocabulary: one [`RunEvent`] describing the run's
+//! geometry, then one per-step event — [`StepEvent`] for wall-clock engines
+//! and [`MemStepEvent`] for the memory-traffic replay.
 //!
 //! The JSON form is one object per event with an `"event"` tag
-//! (`"run"`/`"step"`/`"mem_step"`/`"superstep"`) merged into the payload, so
+//! (`"run"`/`"step"`/`"mem_step"`/`"metrics"`) merged into the payload, so
 //! a JSONL trace is greppable by kind without nested unwrapping.
 
 use serde::{de_field, Deserialize, Error, Serialize, Value};
@@ -16,7 +15,7 @@ use serde::{de_field, Deserialize, Error, Serialize, Value};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunEvent {
     /// Which engine produced the trace (`"engine"`, `"baseline-*"`,
-    /// `"memsim"`, `"multinode"`).
+    /// `"memsim"`).
     pub engine: String,
     /// Vertices in the input graph.
     pub vertices: u64,
@@ -40,8 +39,6 @@ pub struct RunEvent {
     pub scheduling: Option<String>,
     /// VIS scheme (single-node engines only).
     pub vis: Option<String>,
-    /// Cluster nodes (multi-node driver only).
-    pub nodes: Option<usize>,
 }
 
 /// One thread's share of a step.
@@ -163,17 +160,6 @@ pub struct MetricsEvent {
     pub hists: Option<Vec<HistSummarySample>>,
 }
 
-/// One superstep of the distributed driver.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct SuperstepEvent {
-    /// Superstep number (= depth of the vertices claimed).
-    pub step: u32,
-    /// Messages delivered through the exchange this superstep.
-    pub messages: u64,
-    /// Vertices newly claimed this superstep.
-    pub frontier: u64,
-}
-
 /// Any trace event. JSON form is the payload object with an added
 /// `"event"` tag field.
 #[derive(Clone, Debug, PartialEq)]
@@ -181,7 +167,6 @@ pub enum TraceEvent {
     Run(RunEvent),
     Step(StepEvent),
     MemStep(MemStepEvent),
-    Superstep(SuperstepEvent),
     Metrics(MetricsEvent),
 }
 
@@ -192,7 +177,6 @@ impl TraceEvent {
             TraceEvent::Run(_) => "run",
             TraceEvent::Step(_) => "step",
             TraceEvent::MemStep(_) => "mem_step",
-            TraceEvent::Superstep(_) => "superstep",
             TraceEvent::Metrics(_) => "metrics",
         }
     }
@@ -204,7 +188,6 @@ impl Serialize for TraceEvent {
             TraceEvent::Run(e) => e.to_value(),
             TraceEvent::Step(e) => e.to_value(),
             TraceEvent::MemStep(e) => e.to_value(),
-            TraceEvent::Superstep(e) => e.to_value(),
             TraceEvent::Metrics(e) => e.to_value(),
         };
         let mut fields = vec![("event".to_string(), Value::Str(self.kind().to_string()))];
@@ -223,7 +206,6 @@ impl Deserialize for TraceEvent {
             "run" => TraceEvent::Run(RunEvent::from_value(v)?),
             "step" => TraceEvent::Step(StepEvent::from_value(v)?),
             "mem_step" => TraceEvent::MemStep(MemStepEvent::from_value(v)?),
-            "superstep" => TraceEvent::Superstep(SuperstepEvent::from_value(v)?),
             "metrics" => TraceEvent::Metrics(MetricsEvent::from_value(v)?),
             other => return Err(Error::custom(format!("unknown event kind {other:?}"))),
         })
@@ -279,7 +261,6 @@ mod tests {
                 encoding: Some("Markers".into()),
                 scheduling: Some("LoadBalanced".into()),
                 vis: Some("Bit".into()),
-                nodes: None,
             }),
             step_event(),
             TraceEvent::MemStep(MemStepEvent {
@@ -292,11 +273,6 @@ mod tests {
                 llc_to_l2: 1024,
                 l2_to_llc: 256,
                 page_walk: 8,
-            }),
-            TraceEvent::Superstep(SuperstepEvent {
-                step: 2,
-                messages: 31,
-                frontier: 12,
             }),
             TraceEvent::Metrics(MetricsEvent {
                 scope: "query".into(),
@@ -323,6 +299,14 @@ mod tests {
             let back: TraceEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(&back, e, "roundtrip failed for {json}");
         }
+        // Run lines written while the multi-node driver existed carry a
+        // `"nodes":null` key; fields are looked up by name, so it is ignored.
+        let old = "{\"event\":\"run\",\"engine\":\"engine\",\"vertices\":100,\
+                   \"edges\":400,\"source\":7,\"sockets\":2,\"lanes_per_socket\":2,\
+                   \"threads\":4,\"n_vis\":2,\"n_pbv\":4,\"encoding\":\"Markers\",\
+                   \"scheduling\":\"LoadBalanced\",\"vis\":\"Bit\",\"nodes\":null}";
+        let back: TraceEvent = serde_json::from_str(old).unwrap();
+        assert_eq!(back, events[0]);
     }
 
     #[test]
@@ -378,5 +362,11 @@ mod tests {
     fn unknown_kind_is_rejected() {
         let err = serde_json::from_str::<TraceEvent>("{\"event\":\"nope\"}");
         assert!(err.is_err());
+        // The multi-node driver's retired `superstep` kind is now unknown too.
+        let err = serde_json::from_str::<TraceEvent>(
+            "{\"event\":\"superstep\",\"step\":2,\"messages\":31,\"frontier\":12}",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown event kind"), "{err}");
     }
 }

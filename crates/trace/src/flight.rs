@@ -115,7 +115,7 @@ impl TailSampler {
 
     /// The rolling keep-threshold: the inclusive upper bound of the
     /// bucket holding the window's p99 rank. `None` until
-    /// [`SAMPLER_WARMUP`] successful requests have been observed.
+    /// `SAMPLER_WARMUP` (64) successful requests have been observed.
     pub fn rolling_threshold_ns(&self) -> Option<u64> {
         if self.total < SAMPLER_WARMUP {
             return None;

@@ -7,11 +7,9 @@
 //! aggregates ([`TraversalStats`](https://docs.rs/) style totals) average
 //! all of that away; this crate exposes it:
 //!
-//! * [`event`] — typed events: one [`RunEvent`](event::RunEvent) per run,
-//!   then a per-step event per BFS level ([`StepEvent`](event::StepEvent)
-//!   for wall-clock engines, [`MemStepEvent`](event::MemStepEvent) for the
-//!   simulated-machine replay, [`SuperstepEvent`](event::SuperstepEvent)
-//!   for the distributed driver).
+//! * [`event`] — typed events: one [`RunEvent`] per run, then a per-step
+//!   event per BFS level ([`StepEvent`] for wall-clock engines,
+//!   [`MemStepEvent`] for the simulated-machine replay).
 //! * [`sink`] — where events go: [`NoopSink`] (disabled; producers skip
 //!   event assembly entirely, so tracing costs nothing when off),
 //!   [`RingSink`] (bounded in-memory), [`JsonlSink`] (JSON Lines stream),
@@ -51,8 +49,8 @@ pub mod sink;
 pub mod summary;
 
 pub use event::{
-    HistSummarySample, MemStepEvent, MetricSample, MetricsEvent, RunEvent, StepEvent,
-    SuperstepEvent, ThreadStep, TraceEvent,
+    HistSummarySample, MemStepEvent, MetricSample, MetricsEvent, RunEvent, StepEvent, ThreadStep,
+    TraceEvent,
 };
 pub use flight::{
     FlightRecorder, FlightStats, LevelDigest, RequestTrace, TailSampler, TraceDigest, TraceLookup,

@@ -172,7 +172,7 @@ impl TraceSink for TeeSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{StepEvent, SuperstepEvent, TraceEvent};
+    use crate::event::{StepEvent, TraceEvent};
 
     fn ev(step: u32) -> TraceEvent {
         TraceEvent::Step(StepEvent {
@@ -213,11 +213,7 @@ mod tests {
     fn jsonl_writes_one_valid_line_per_event() {
         let s = JsonlSink::new(Vec::new());
         s.record(&ev(1));
-        s.record(&TraceEvent::Superstep(SuperstepEvent {
-            step: 2,
-            messages: 5,
-            frontier: 3,
-        }));
+        s.record(&ev(2));
         assert_eq!(s.errors(), 0);
         let buf = s.into_inner().unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -225,7 +221,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         for line in lines {
             let e: TraceEvent = serde_json::from_str(line).unwrap();
-            assert!(matches!(e, TraceEvent::Step(_) | TraceEvent::Superstep(_)));
+            assert!(matches!(e, TraceEvent::Step(_)));
         }
     }
 

@@ -339,7 +339,6 @@ mod tests {
                 encoding: None,
                 scheduling: None,
                 vis: None,
-                nodes: None,
             }),
             step(1, 10, 1, &[100, 100], &[300, 100]),
             step(2, 20, 0, &[200, 200], &[200, 200]),

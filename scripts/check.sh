@@ -14,6 +14,9 @@ cargo test -q --offline
 echo "==> cargo test --doc"
 cargo test --doc --offline
 
+echo "==> cargo doc (warnings are errors: dangling or ambiguous doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 
