@@ -20,6 +20,7 @@
 //! Scheduling modes reproduce the three series of Figure 5; the VIS scheme
 //! reproduces the series of Figure 4.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -32,7 +33,7 @@ use bfs_trace::{LevelDigest, NoopSink, RunEvent, StepEvent, ThreadStep, TraceEve
 use crate::balance::{divide_even, divide_static, Segment, Stream};
 use crate::cell::ThreadOwned;
 use crate::direction::{
-    count_switches, DecisionInputs, Direction, DirectionPolicy, FrontierBitmap,
+    count_switches, BitmapWriter, DecisionInputs, Direction, DirectionPolicy, FrontierBitmap,
 };
 use crate::dp::{DepthParent, INF_DEPTH};
 use crate::frontier::rearrange_frontier;
@@ -293,6 +294,13 @@ pub(crate) struct RunState {
     /// the half's readers are past a barrier. Both halves are all-zero at
     /// run end, so session reuse needs no extra reset.
     frontier_bitmap: FrontierBitmap,
+    /// Per-lane lists of ids the last bottom-up level left unclaimed, in
+    /// ascending order across the lanes (see `bottom_up_step`). A
+    /// bottom-up level reads every lane's `unvisited` and writes its own
+    /// `unvisited_next`; the two swap after the level, like the frontier
+    /// buffers. Capacity is kept across runs.
+    unvisited: ThreadOwned<Vec<VertexId>>,
+    unvisited_next: ThreadOwned<Vec<VertexId>>,
     /// Leader-only per-level record: one [`LevelDigest`] (step,
     /// direction, frontier size, critical-path phase ns) per non-empty
     /// BFS level (DESIGN.md §15). Capacity is kept across runs, so warm
@@ -346,6 +354,8 @@ impl RunState {
                 },
                 huge,
             ),
+            unvisited: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
+            unvisited_next: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
             levels: ThreadOwned::from_fn(1, |_| Vec::new()),
             touched: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
             track_touched,
@@ -376,6 +386,8 @@ impl RunState {
             words += self.bins.read(t, BinSet::capacity_words);
             words += self.scratch.read(t, |(a, b)| a.capacity() + b.capacity());
             words += self.touched.read(t, Vec::capacity);
+            words += self.unvisited.read(t, Vec::capacity);
+            words += self.unvisited_next.read(t, Vec::capacity);
         }
         words
     }
@@ -399,6 +411,12 @@ impl RunState {
         }
         for t in self.touched.iter_mut() {
             *t = Vec::new();
+        }
+        for u in self.unvisited.iter_mut() {
+            *u = Vec::new();
+        }
+        for u in self.unvisited_next.iter_mut() {
+            *u = Vec::new();
         }
     }
 
@@ -454,6 +472,8 @@ pub struct BfsEngine<'g> {
     /// Hugepage-arena availability, probed once at construction when
     /// [`BfsOptions::huge_pages`] is set.
     hugepages: HugepageStatus,
+    /// The bottom-up scan range of each lane (see [`bottom_up_plan`]).
+    bottom_up_plan: Vec<Range<usize>>,
 }
 
 impl<'g> BfsEngine<'g> {
@@ -498,6 +518,12 @@ impl<'g> BfsEngine<'g> {
             metrics: MetricsRegistry::new(topology.total_threads()),
             hw,
             hugepages,
+            bottom_up_plan: bottom_up_plan(
+                graph.offsets(),
+                &geometry,
+                &topology,
+                options.scheduling,
+            ),
         }
     }
 
@@ -695,6 +721,9 @@ impl<'g> BfsEngine<'g> {
             // level must zero it).
             let mut bitmap_half = 0;
             let mut handed_off = false;
+            // Whether the lanes' `unvisited` lists are this run's (set by
+            // its first bottom-up level).
+            let mut listed = false;
             let mut step: u32 = 1;
             loop {
                 assert!(
@@ -780,7 +809,8 @@ impl<'g> BfsEngine<'g> {
                 match dir {
                     Direction::BottomUp => {
                         let p2 = Instant::now();
-                        self.bottom_up_step(tid, nthreads, state, bitmap_half, step, &mut c);
+                        self.bottom_up_step(tid, state, bitmap_half, step, listed, &mut c);
+                        listed = true;
                         d2 = p2.elapsed();
                         c.phase2 += d2;
                         c.bottom_up += d2;
@@ -931,6 +961,15 @@ impl<'g> BfsEngine<'g> {
                         next.clear();
                     });
                 });
+                // Same epochs for the unclaimed-id lists: every reader of
+                // `unvisited` is past the barrier above.
+                if dir == Direction::BottomUp {
+                    state.unvisited.with_mut(tid, |cur| {
+                        state
+                            .unvisited_next
+                            .with_mut(tid, |next| std::mem::swap(cur, next));
+                    });
+                }
                 c.barrier_ns += ctx.timed_barrier().1;
                 if total == 0 {
                     break;
@@ -1240,27 +1279,33 @@ impl<'g> BfsEngine<'g> {
         });
     }
 
-    /// Bottom-up step kernel: scan this thread's share of the vertex space
-    /// in bin order, probing each unclaimed vertex's neighbor list against
-    /// the frontier bitmap's `half` and claiming on the first hit (early
-    /// exit — a vertex with `k` frontier parents costs 1 check instead of
-    /// `k` claim attempts). Each claim also goes into the other half, one
-    /// `fetch_or` per word the scan fills, so the next bottom-up level gets
-    /// its frontier dense.
+    /// Bottom-up step kernel: probe each unclaimed vertex of this lane's
+    /// share against the frontier bitmap's `half`, claiming on the first
+    /// hit (early exit — a vertex with `k` frontier parents costs 1 check
+    /// instead of `k` claim attempts). Each claim also goes into the other
+    /// half, one `fetch_or` per word the scan fills, so the next bottom-up
+    /// level gets its frontier dense.
     ///
-    /// Work division reuses the prefix-split machinery of `balance.rs` over
-    /// one stream per bin (vertex ranges instead of PBV windows):
-    /// `LoadBalanced`/`NoMultiSocketOpt` take the even split,
-    /// `SocketAwareStatic` pins each bin's range to its home socket. Either
-    /// way a part's share is contiguous in bin order, so the scanned
-    /// `VIS`/`DP`/bitmap stripes stay cache-resident (§III-A) — and ranges
-    /// are disjoint, so every vertex has exactly one claiming thread and the
-    /// `DP` write is a single plain store with no race at all (stronger than
-    /// the benign top-down claim race). The split stays static even though
-    /// the heavy ids of a degree-ordered graph sit at the front: claiming
-    /// scan chunks from a shared cursor put both lanes on that prefix at
-    /// once and measured slower (EXPERIMENTS.md, "Bottom-up bitmap
-    /// hand-off and chunked epilogue").
+    /// The run's first bottom-up level (`listed` false) scans this lane's
+    /// range of the engine's [`bottom_up_plan`], made once per engine. The
+    /// plan covers only the live id prefix: every id past the last one with
+    /// an edge has degree 0, no probe can claim it, and degree-ordered
+    /// relabeling puts all such ids there (on RMAT 21 they are 41% of the id
+    /// space). Every bottom-up level writes the ids it leaves unclaimed to
+    /// the lane's `unvisited_next`, and each later one walks the lanes'
+    /// lists instead of a range: re-scanning ids claimed long ago (with an
+    /// adjacency prefetch each) cost a late level as much as a busy one.
+    /// A later level splits the concatenated lists evenly (within each
+    /// socket under `SocketAwareStatic`), because a lane whose range was
+    /// claimed early would otherwise idle while its neighbor works.
+    ///
+    /// Either way a lane takes a contiguous, ascending piece of the id
+    /// order, so the scanned `VIS`/`DP`/bitmap stripes stay cache-resident
+    /// (§III-A) and the output frontier is page-window sorted. Pieces are
+    /// disjoint, so every vertex has exactly one claiming thread and the
+    /// `DP` write is a single plain store with no race at all (stronger
+    /// than the benign top-down claim race), and a vertex's parent is its
+    /// first frontier neighbor in neighbor order, whatever the lane count.
     ///
     /// Correctness requires the repo's symmetric doubled-edge convention:
     /// `neighbors(v)` must contain every frontier vertex that has an edge to
@@ -1268,71 +1313,101 @@ impl<'g> BfsEngine<'g> {
     fn bottom_up_step(
         &self,
         tid: usize,
-        nthreads: usize,
         state: &RunState,
         half: usize,
         step: u32,
+        listed: bool,
         c: &mut Counters,
     ) {
-        let geo = &self.geometry;
-        let streams: Vec<Stream> = (0..geo.n_bins)
-            .map(|b| Stream {
-                bin: b,
-                owner: 0,
-                len: geo.bin_vertex_range(b).len(),
-            })
-            .collect();
-        let my_segments: Vec<Segment> = match self.options.scheduling {
-            Scheduling::SocketAwareStatic => divide_static(
-                &streams,
-                |b| geo.socket_of_bin(b),
-                self.topology.sockets,
-                self.topology.lanes_per_socket,
-                1,
-            )
-            .swap_remove(tid),
-            _ => divide_even(&streams, nthreads, 1).swap_remove(tid),
-        };
+        // This level's claims, built a word at a time: the next level's
+        // frontier, handed off dense.
+        let mut claims = state.frontier_bitmap.writer(half ^ 1);
+        state.bv_next.with_mut(tid, |next| {
+            state.unvisited_next.with_mut(tid, |left| {
+                left.clear();
+                if !listed {
+                    let scan = &self.bottom_up_plan[tid];
+                    let ids = scan.start as VertexId..scan.end as VertexId;
+                    self.probe_ids(ids, state, half, step, next, left, &mut claims, c);
+                    return;
+                }
+                // This lane's even share of the concatenated lists of its
+                // group (its socket under `SocketAwareStatic`, else all).
+                let lanes = match self.options.scheduling {
+                    Scheduling::SocketAwareStatic => {
+                        let per = self.topology.lanes_per_socket;
+                        tid / per * per..(tid / per + 1) * per
+                    }
+                    _ => 0..self.topology.total_threads(),
+                };
+                let total: usize = lanes
+                    .clone()
+                    .map(|t| state.unvisited.read(t, Vec::len))
+                    .sum();
+                let (k, parts) = (tid - lanes.start, lanes.len());
+                let (lo, hi) = (total * k / parts, total * (k + 1) / parts);
+                let mut base = 0;
+                for owner in lanes {
+                    state.unvisited.read(owner, |list| {
+                        let end = base + list.len();
+                        let window = &list[lo.clamp(base, end) - base..hi.clamp(base, end) - base];
+                        let ids = window.iter().copied();
+                        self.probe_ids(ids, state, half, step, next, left, &mut claims, c);
+                        base = end;
+                    });
+                }
+            });
+        });
+        claims.flush();
+    }
+
+    /// The bottom-up probe loop over ascending `ids`: claims each unclaimed
+    /// id for its first frontier neighbor in `half` and pushes the ids it
+    /// leaves unclaimed to `left`. Inlined into each of its two call sites
+    /// (a range and a list window), so each loop is as tight as a plain
+    /// range scan; a shared closure measured ~25% slower per level.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn probe_ids(
+        &self,
+        ids: impl Iterator<Item = VertexId> + Clone,
+        state: &RunState,
+        half: usize,
+        step: u32,
+        next: &mut Vec<VertexId>,
+        left: &mut Vec<VertexId>,
+        claims: &mut BitmapWriter<'_>,
+        c: &mut Counters,
+    ) {
         let pref = self.options.prefetch_distance;
         let offsets = self.graph.offsets();
         let raw = self.graph.raw_neighbors();
-        let bitmap = &state.frontier_bitmap;
-        // This level's claims, built a word at a time: the next level's
-        // frontier, handed off dense.
-        let mut claims = bitmap.writer(half ^ 1);
-        let dp = &state.dp;
-        let vis = &state.vis;
-        state.bv_next.with_mut(tid, |next| {
-            for seg in &my_segments {
-                let base = geo.bin_vertex_range(seg.bin).start as usize;
-                let lo = base + seg.range.start;
-                let hi = base + seg.range.end;
-                for u in lo..hi {
-                    if pref > 0 && u + pref < hi {
-                        // Prefetch the adjacency pointer and first neighbor
-                        // line of the vertex `pref` slots ahead (§III-C(3)).
-                        prefetch_slice_element(offsets, u + pref);
-                        let off = offsets[u + pref] as usize;
-                        prefetch_slice_element(raw, off);
-                    }
-                    let v = u as VertexId;
-                    if vis.is_marked(v) || dp.is_assigned(v) {
-                        continue;
-                    }
-                    for &parent in self.graph.neighbors(v) {
-                        c.edge_checks += 1;
-                        if bitmap.contains(half, parent) {
-                            dp.set(v, step, parent);
-                            vis.mark(v);
-                            next.push(v);
-                            claims.insert(v);
-                            break;
-                        }
-                    }
+        let (dp, vis, bitmap) = (&state.dp, &state.vis, &state.frontier_bitmap);
+        let mut ahead = ids.clone().skip(pref);
+        'ids: for v in ids {
+            if pref > 0 {
+                if let Some(w) = ahead.next() {
+                    // Prefetch the adjacency pointer and first neighbor
+                    // line of the id `pref` slots ahead (§III-C(3)).
+                    prefetch_slice_element(offsets, w as usize);
+                    prefetch_slice_element(raw, offsets[w as usize] as usize);
                 }
             }
-        });
-        claims.flush();
+            if vis.is_marked(v) || dp.is_assigned(v) {
+                continue;
+            }
+            for &parent in self.graph.neighbors(v) {
+                c.edge_checks += 1;
+                if bitmap.contains(half, parent) {
+                    dp.set(v, step, parent);
+                    vis.mark(v);
+                    next.push(v);
+                    claims.insert(v);
+                    continue 'ids;
+                }
+            }
+            left.push(v);
+        }
     }
 
     /// Single-phase expansion for [`Scheduling::NoMultiSocketOpt`]: no
@@ -1400,6 +1475,45 @@ fn level_direction(level: &LevelDigest) -> Direction {
         Direction::TopDown
     } else {
         Direction::BottomUp
+    }
+}
+
+/// The bottom-up scan plan: one contiguous id range per lane, made once
+/// per engine. Only the live prefix `[0, live)` is planned, `live` being
+/// one past the last id with an edge (`offsets` is the degree prefix sum,
+/// so every id from `live` on has degree 0 and can never be claimed by a
+/// probe). `SocketAwareStatic` clips each socket's `DP`/`VIS` stripe to
+/// the prefix and splits it among that socket's lanes (threads are
+/// numbered socket-major); the other schedulings split the prefix evenly
+/// across all lanes. Range lengths within one split differ by at most 1.
+///
+/// The split counts ids, not edges: by the time a traversal goes bottom-up
+/// the heavy ids at the front of a degree-ordered graph are mostly
+/// claimed already, so an edge-weighted split left lane 0 almost idle on
+/// RMAT 21 (EXPERIMENTS.md, "Bottom-up scan planned over the live
+/// prefix").
+fn bottom_up_plan(
+    offsets: &[u64],
+    geometry: &BinGeometry,
+    topology: &Topology,
+    scheduling: Scheduling,
+) -> Vec<Range<usize>> {
+    let edges = offsets.last().copied().unwrap_or(0);
+    let live = offsets.partition_point(|&o| o < edges);
+    let split = |r: Range<usize>, parts: usize| {
+        (0..parts).map(move |p| r.start + r.len() * p / parts..r.start + r.len() * (p + 1) / parts)
+    };
+    match scheduling {
+        Scheduling::SocketAwareStatic => (0..topology.sockets)
+            .flat_map(|s| {
+                let stripe = geometry.socket_vertex_range(s);
+                split(
+                    stripe.start.min(live)..stripe.end.min(live),
+                    topology.lanes_per_socket,
+                )
+            })
+            .collect(),
+        _ => split(0..live, topology.total_threads()).collect(),
     }
 }
 
@@ -2019,5 +2133,105 @@ mod tests {
             assert!(s.scattered.is_some(), "step {} lacks scattered", s.step);
         }
         assert!(steps.iter().any(|s| s.scattered.unwrap() > 0));
+    }
+
+    /// Plans `offsets` for `sockets × lanes` under `scheduling`.
+    fn plan(
+        offsets: &[u64],
+        sockets: usize,
+        lanes: usize,
+        scheduling: Scheduling,
+    ) -> Vec<Range<usize>> {
+        let n = offsets.len() - 1;
+        bottom_up_plan(
+            offsets,
+            &BinGeometry::with_n_vis(n, sockets, 2),
+            &Topology::synthetic(sockets, lanes),
+            scheduling,
+        )
+    }
+
+    /// The plan's ranges, in lane order, tile `[0, live)` exactly.
+    fn assert_tiles(plan: &[Range<usize>], live: usize) {
+        let mut next = 0;
+        for r in plan {
+            assert_eq!(r.start, next, "gap or overlap in {plan:?}");
+            assert!(r.start <= r.end, "reversed range in {plan:?}");
+            next = r.end;
+        }
+        assert_eq!(next, live, "{plan:?} does not end at {live}");
+    }
+
+    #[test]
+    fn bottom_up_plan_tiles_exactly_the_live_prefix() {
+        // Degrees 2, 0, 1, 1, 0, 0, 0: id 1 is an interior degree-0 id and
+        // is planned; ids 4..7 are the degree-0 suffix and are not.
+        let offsets = [0, 2, 2, 3, 4, 4, 4, 4];
+        for scheduling in [
+            Scheduling::NoMultiSocketOpt,
+            Scheduling::SocketAwareStatic,
+            Scheduling::LoadBalanced,
+        ] {
+            for (sockets, lanes) in [(1, 1), (1, 2), (1, 3), (1, 5), (2, 1), (2, 2), (3, 2)] {
+                let p = plan(&offsets, sockets, lanes, scheduling);
+                assert_eq!(p.len(), sockets * lanes);
+                assert_tiles(&p, 4);
+            }
+        }
+    }
+
+    #[test]
+    fn bottom_up_plan_live_prefix_ends() {
+        // Edgeless: nothing is live, every lane's range is empty.
+        for p in [
+            plan(&[0; 6], 1, 3, Scheduling::LoadBalanced),
+            plan(&[0; 6], 2, 2, Scheduling::SocketAwareStatic),
+        ] {
+            assert!(p.iter().all(|r| r.is_empty()), "{p:?}");
+            assert_tiles(&p, 0);
+        }
+        // The last id has an edge: the whole id space is live.
+        assert_tiles(&plan(&[0, 0, 1, 1, 3], 1, 2, Scheduling::LoadBalanced), 4);
+        assert_tiles(
+            &plan(&[0, 0, 1, 1, 3], 2, 2, Scheduling::SocketAwareStatic),
+            4,
+        );
+    }
+
+    #[test]
+    fn bottom_up_plan_splits_evenly() {
+        // 10 live ids (then 3 dead) over 3 lanes: 3, 3, 4.
+        let mut offsets: Vec<u64> = (0..=10).collect();
+        offsets.extend([10, 10, 10]);
+        for scheduling in [Scheduling::NoMultiSocketOpt, Scheduling::LoadBalanced] {
+            let p = plan(&offsets, 1, 3, scheduling);
+            assert_tiles(&p, 10);
+            let lens: Vec<usize> = p.iter().map(|r| r.len()).collect();
+            let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{lens:?}");
+        }
+    }
+
+    #[test]
+    fn bottom_up_plan_keeps_lanes_on_their_socket() {
+        // 16 ids, 2 sockets of 8: live prefixes that end inside socket 1,
+        // exactly at the stripe boundary, and inside socket 0.
+        for live in [13u64, 8, 5] {
+            let offsets: Vec<u64> = (0..=16u64).map(|v| v.min(live)).collect();
+            let p = plan(&offsets, 2, 2, Scheduling::SocketAwareStatic);
+            assert_tiles(&p, live as usize);
+            let geo = BinGeometry::with_n_vis(16, 2, 2);
+            for (tid, r) in p.iter().enumerate() {
+                let stripe = geo.socket_vertex_range(tid / 2);
+                assert!(
+                    r.is_empty() || (stripe.start <= r.start && r.end <= stripe.end),
+                    "lane {tid} range {r:?} leaves socket stripe {stripe:?}"
+                );
+            }
+            // Socket 0's lanes split its clipped stripe evenly.
+            let s0 = (live as usize).min(8);
+            assert_eq!(p[0].len() + p[1].len(), s0);
+            assert!(p[0].len().abs_diff(p[1].len()) <= 1, "{p:?}");
+        }
     }
 }

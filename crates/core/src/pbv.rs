@@ -170,6 +170,16 @@ impl BinGeometry {
         lo as u32..hi as u32
     }
 
+    /// Vertex-id range of socket `s`'s `DP`/`VIS` stripe (clamped to
+    /// `|V|`): exactly the union of the bins [`socket_of_bin`] maps to `s`
+    /// (`|V_NS| · N_S ≥ |V|`, so that clamp never moves a bin).
+    ///
+    /// [`socket_of_bin`]: Self::socket_of_bin
+    pub fn socket_vertex_range(&self, s: usize) -> std::ops::Range<usize> {
+        let stripe = |s: usize| (s * self.vertices_per_socket).min(self.num_vertices);
+        stripe(s)..stripe(s + 1)
+    }
+
     /// Bin width in vertices.
     pub fn bin_width(&self) -> usize {
         1 << self.bin_shift
@@ -378,7 +388,12 @@ mod tests {
             }
             let home = (r.start as usize) / g.vertices_per_socket;
             assert_eq!(g.socket_of_bin(b), home.min(2));
+            let stripe = g.socket_vertex_range(g.socket_of_bin(b));
+            assert!(stripe.start <= r.start as usize && r.end as usize <= stripe.end);
         }
+        // The socket stripes tile the vertex space.
+        let ends: Vec<_> = (0..3).map(|s| g.socket_vertex_range(s)).collect();
+        assert_eq!(ends, vec![0..512, 512..1000, 1000..1000]);
     }
 
     #[test]

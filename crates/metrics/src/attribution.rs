@@ -120,6 +120,10 @@ pub struct AttributionReport {
     pub sockets: Vec<SocketLoad>,
     /// Worst worker's busy time over the mean (1.0 = perfectly even).
     pub thread_imbalance: f64,
+    /// Worst worker's `BottomUpNs` over the mean: how evenly the bottom-up
+    /// scan plan splits the work (1.0 = perfectly even, and when no
+    /// bottom-up level ran).
+    pub bottom_up_imbalance: f64,
     /// `Some(reason)` when hardware counters were requested but could not
     /// be opened (permission, no vPMU, non-Linux host); rendered as an
     /// explicit marker so model-only rows are never mistaken for measured
@@ -372,12 +376,19 @@ impl AttributionReport {
                 },
             })
             .collect();
-        let mean_thread = busy.iter().sum::<u64>() as f64 / busy.len().max(1) as f64;
-        let thread_imbalance = if mean_thread > 0.0 {
-            busy.iter().copied().max().unwrap_or(0) as f64 / mean_thread
-        } else {
-            1.0
+        let max_over_mean = |v: &[u64]| {
+            let mean = v.iter().sum::<u64>() as f64 / v.len().max(1) as f64;
+            if mean > 0.0 {
+                v.iter().copied().max().unwrap_or(0) as f64 / mean
+            } else {
+                1.0
+            }
         };
+        let thread_imbalance = max_over_mean(&busy);
+        let bottom_up: Vec<u64> = (0..snap.workers)
+            .map(|t| snap.thread_total(t, Counter::BottomUpNs))
+            .collect();
+        let bottom_up_imbalance = max_over_mean(&bottom_up);
 
         AttributionReport {
             queries,
@@ -394,6 +405,7 @@ impl AttributionReport {
             step_detail,
             sockets: sockets_out,
             thread_imbalance,
+            bottom_up_imbalance,
             hw_unavailable: ctx.hw_unavailable.clone(),
             dtlb_per_scatter,
             prediction: p,
@@ -503,6 +515,11 @@ impl AttributionReport {
             "thread imbalance (max/mean busy): {:.3}",
             self.thread_imbalance
         );
+        let _ = writeln!(
+            out,
+            "bottom-up imbalance (max/mean bottom-up): {:.3}",
+            self.bottom_up_imbalance
+        );
         let q = snap.histogram(Hist::QueryNs);
         let st = snap.histogram(Hist::StepNs);
         let _ = writeln!(
@@ -594,6 +611,43 @@ mod tests {
         assert_eq!(r.sockets.len(), 2);
         assert!((r.sockets[0].imbalance - 1.0).abs() < 1e-9);
         assert!((r.thread_imbalance - 1.0).abs() < 1e-9);
+        // No bottom-up work at all reads as even, not as 0/0.
+        assert!((r.bottom_up_imbalance - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bottom_up_imbalance_is_max_over_mean() {
+        let m = MachineSpec::xeon_x5570_2s();
+        let mut reg = MetricsRegistry::new(2);
+        for (t, ns) in [(0, 30_000_000), (1, 10_000_000)] {
+            let mut w = reg.writer(t);
+            w.add(Counter::Phase1Ns, 5_000_000);
+            w.add(Counter::BottomUpNs, ns);
+        }
+        {
+            let mut d = reg.driver();
+            d.add(Counter::Queries, 1);
+            d.add(Counter::QueryNs, 40_000_000);
+            d.add(Counter::TraversedEdges, 800_000);
+        }
+        let snap = reg.snapshot();
+        let r = AttributionReport::build(&snap, &[], &ctx(&m));
+        // 30 ms over a 20 ms mean; busy time (35 vs 15 ms) is less skewed.
+        assert!(
+            (r.bottom_up_imbalance - 1.5).abs() < 1e-9,
+            "{}",
+            r.bottom_up_imbalance
+        );
+        assert!(
+            (r.thread_imbalance - 1.4).abs() < 1e-9,
+            "{}",
+            r.thread_imbalance
+        );
+        let text = r.render_text(&snap);
+        assert!(
+            text.contains("bottom-up imbalance (max/mean bottom-up): 1.500"),
+            "{text}"
+        );
     }
 
     #[test]

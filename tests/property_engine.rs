@@ -9,7 +9,7 @@ use bfs_core::session::BfsSession;
 use bfs_core::validate::validate_bfs_tree;
 use bfs_core::{Direction, DirectionPolicy, VisScheme};
 use bfs_graph::builder::{BuildOptions, GraphBuilder};
-use bfs_graph::CsrGraph;
+use bfs_graph::{degree_order, CsrGraph};
 use bfs_platform::Topology;
 use proptest::prelude::*;
 
@@ -31,6 +31,14 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
             b.build()
         })
     })
+}
+
+/// `g` with `k` isolated vertices appended: a degree-0 id suffix, like the
+/// one degree-ordered relabeling builds from a graph's unreached ids.
+fn with_isolated_tail(g: &CsrGraph, k: usize) -> CsrGraph {
+    let mut offsets = g.offsets().to_vec();
+    offsets.extend(vec![g.num_edges(); k]);
+    CsrGraph::from_parts(offsets, g.raw_neighbors().to_vec())
 }
 
 /// Arbitrary direction policy: both forced modes, the default α/β, and
@@ -198,6 +206,70 @@ proptest! {
             prop_assert_eq!(&out.depths, &reference.depths);
             prop_assert!(validate_bfs_tree(&g, src, &out.depths, &out.parents).is_ok());
             prop_assert_eq!(out.stats.step_directions.len(), out.stats.steps as usize);
+        }
+    }
+
+    /// The bottom-up scan plan cannot change an answer. On a graph with a
+    /// degree-0 id suffix (appended isolated vertices, optionally moved
+    /// there by degree ordering), sources from the live prefix and from the
+    /// dead suffix get the same depths and parents on 1–4 lanes under every
+    /// scheduling: each live vertex has one scanning lane, and its parent
+    /// is the first frontier hit in neighbor order. Depths match the
+    /// serial oracle, under forced bottom-up and under the adaptive policy.
+    #[test]
+    fn bottom_up_output_is_identical_across_lane_plans(
+        g in arb_graph(80, 240),
+        k in 1usize..=12,
+        relabel in any::<bool>(),
+        live_pick in 0usize..128,
+        dead_pick in 0usize..128,
+    ) {
+        let g = with_isolated_tail(&g, k);
+        let g = if relabel { degree_order(&g).0 } else { g };
+        let n = g.num_vertices();
+        let live = g.offsets().partition_point(|&o| o < g.num_edges());
+        prop_assert!(n - live >= k);
+        let sources = [
+            (live_pick % live.max(1)) as u32,
+            (live + dead_pick % (n - live)) as u32,
+            (n - 1) as u32,
+        ];
+        let references: Vec<_> = sources.iter().map(|&s| serial_bfs(&g, s)).collect();
+        let mut first: Vec<Option<BfsOutput>> = vec![None; sources.len()];
+        for (sockets, lanes) in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)] {
+            let topo = Topology::synthetic(sockets, lanes);
+            for scheduling in [
+                Scheduling::NoMultiSocketOpt,
+                Scheduling::SocketAwareStatic,
+                Scheduling::LoadBalanced,
+            ] {
+                let opts = BfsOptions {
+                    scheduling,
+                    direction: DirectionPolicy::ForcedBottomUp,
+                    ..Default::default()
+                };
+                let engine = BfsEngine::new(&g, topo, opts);
+                for (i, &src) in sources.iter().enumerate() {
+                    let out = engine.run(src);
+                    prop_assert_eq!(&out.depths, &references[i].depths);
+                    prop_assert!(validate_bfs_tree(&g, src, &out.depths, &out.parents).is_ok());
+                    match &first[i] {
+                        Some(f) => {
+                            prop_assert_eq!(&out.depths, &f.depths);
+                            prop_assert_eq!(&out.parents, &f.parents);
+                        }
+                        None => first[i] = Some(out),
+                    }
+                }
+            }
+            let auto = BfsOptions {
+                direction: DirectionPolicy::auto(),
+                ..Default::default()
+            };
+            let engine = BfsEngine::new(&g, topo, auto);
+            for (i, &src) in sources.iter().enumerate() {
+                prop_assert_eq!(&engine.run(src).depths, &references[i].depths);
+            }
         }
     }
 }

@@ -1,9 +1,13 @@
 //! Allocation guard for persistent query sessions: once warm, a session
 //! query must not allocate any traversal storage — no `DP`/`VIS` arrays, no
 //! frontier or bin buffers, and on a relabeled graph no translation
-//! buffers. The only heap activity left on the warm path is
-//! the pool's constant-size result collection and the per-step work-division
-//! plans, both tiny and independent of |V|.
+//! buffers. The only heap activity left on the warm path is the pool's
+//! constant-size result collection and, on top-down levels only, the
+//! per-step division plans of Phase I/II; both are tiny and independent of
+//! |V|. A bottom-up level allocates nothing at all: its scan plan is made
+//! once per engine and each lane's list of unclaimed ids keeps its
+//! capacity, so a warm bottom-up query's heap traffic does not grow with
+//! depth.
 //!
 //! A counting global allocator observes every allocation in the process, so
 //! this file holds a single `#[test]` (parallel tests would pollute the
@@ -15,7 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bfs_core::engine::{BfsEngine, BfsOptions, BfsOutput};
 use bfs_core::session::BfsSession;
+use bfs_core::DirectionPolicy;
 use bfs_graph::degree_order;
+use bfs_graph::gen::classic::path;
 use bfs_graph::gen::uniform::uniform_random;
 use bfs_graph::rng::rng_from_seed;
 use bfs_platform::Topology;
@@ -141,5 +147,35 @@ fn warm_session_queries_allocate_no_traversal_storage() {
         warm_bytes < dp_bytes / 4,
         "relabeled warm query allocated {warm_bytes} bytes — that is \
          traversal or translation storage, not bookkeeping (DP alone is {dp_bytes})"
+    );
+
+    // Every level bottom-up on a path: a query from one end runs L - 1
+    // levels, one from the middle L/2. After warming on the deep end, both
+    // must cost the same allocations and bytes (the pool's constant
+    // result collection); a per-level scan plan would grow with depth.
+    const L: usize = 1000;
+    let line = path(L);
+    let bottom_up = BfsOptions {
+        direction: DirectionPolicy::ForcedBottomUp,
+        ..Default::default()
+    };
+    let mut session = BfsSession::new(&line, topo, bottom_up);
+    let end = (L - 1) as u32;
+    session.run_reusing(end, &mut out);
+    session.run_reusing(end, &mut out);
+    let deep = counted(|| {
+        session.run_reusing(end, &mut out);
+    });
+    assert_eq!(out.stats.steps as usize, L - 1);
+    let shallow = counted(|| {
+        session.run_reusing((L / 2) as u32, &mut out);
+    });
+    assert_eq!(out.stats.steps as usize, L / 2);
+    assert_eq!(
+        deep,
+        shallow,
+        "bottom-up warm queries of depth {} and {} must allocate alike",
+        L - 1,
+        L / 2
     );
 }
