@@ -83,8 +83,8 @@ subcommands:
                                    [--queries N] — warmup traversals before serving
                                    [--sources N] [--seed K] — warmup root pool
                                    [--sessions N] — parked warm-session pool size
-                                   (default min(4, cores/8)); queued single-source
-                                   queries coalesce into waves when a session frees up
+                                   (default min(4, cores/8)); a session that frees up
+                                   takes the next queued request, one at a time
                                    [--deadline-ms D] — default per-request deadline;
                                    requests that expire while queued get 504 without
                                    executing (per-request Deadline-Ms header overrides)
@@ -122,7 +122,7 @@ subcommands:
                                    [--max-p99-ms X] — exit nonzero when p99 breaches
   monitor  live server view        [URL] — poll /debug/health + /metrics of a running
                                    serve and render a terminal dashboard: verdict,
-                                   windowed QPS/p50/p99/error/drop/coalesce rates,
+                                   windowed QPS/p50/p99/error/drop rates,
                                    direction mix, per-session busy, slowest traces
                                    [--interval-ms MS] — poll period (default 1000)
                                    [--once] — single frame, then exit

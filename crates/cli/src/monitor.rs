@@ -3,7 +3,7 @@
 //! Polls `GET /debug/health` (the windowed SLO verdict, DESIGN.md §16)
 //! and `GET /metrics` (for the per-session busy/served series the health
 //! doc does not carry) and renders one screen per interval: QPS, windowed
-//! p50/p99, error/drop/coalesce rates, the direction mix, queue levels,
+//! p50/p99, error/drop rates, the direction mix, queue levels,
 //! per-session occupancy, per-SLO verdicts, and the slowest-trace
 //! exemplars to pull through `/debug/trace/<id>`.
 //!
@@ -171,13 +171,12 @@ fn window_row(out: &mut String, label: &str, w: Option<&Value>) {
     };
     let (td, bu) = (u(w.get("top_down_steps")), u(w.get("bottom_up_steps")));
     out.push_str(&format!(
-        "{label:<6} {:>9.1} {:>9.3} {:>9.3} {:>7.3} {:>7.3} {:>7.3} {:>6}/{}\n",
+        "{label:<6} {:>9.1} {:>9.3} {:>9.3} {:>7.3} {:>7.3} {:>6}/{}\n",
         f(w.get("qps")),
         f(w.get("p50_ms")),
         f(w.get("p99_ms")),
         f(w.get("error_rate")),
         f(w.get("drop_rate")),
-        f(w.get("coalesce_rate")),
         td,
         bu,
     ));
@@ -200,7 +199,7 @@ fn render_text(url: &str, doc: &Value, status: u16, sessions: &[SessionRow]) -> 
             ""
         },
     ));
-    out.push_str("window    qps    p50_ms    p99_ms    err%   drop%   coal%  td/bu steps\n");
+    out.push_str("window    qps    p50_ms    p99_ms    err%   drop%  td/bu steps\n");
     window_row(&mut out, "fast", doc.get("fast"));
     window_row(&mut out, "slow", doc.get("slow"));
     if let Some(slos) = doc.get("slos").and_then(|x| x.as_array()) {
@@ -304,10 +303,10 @@ fastbfs_queue_depth 3
             "{\"state\":\"breaching\",\"queue_wedged\":true,\"uptime_s\":12.5,\
              \"queue_depth\":7,\"in_flight\":2,\
              \"fast\":{\"qps\":100.0,\"p50_ms\":1.0,\"p99_ms\":9.0,\"error_rate\":0.0,\
-                       \"drop_rate\":0.5,\"coalesce_rate\":0.25,\"top_down_steps\":30,\
+                       \"drop_rate\":0.5,\"top_down_steps\":30,\
                        \"bottom_up_steps\":10},\
              \"slow\":{\"qps\":80.0,\"p50_ms\":1.1,\"p99_ms\":7.0,\"error_rate\":0.0,\
-                       \"drop_rate\":0.1,\"coalesce_rate\":0.2,\"top_down_steps\":300,\
+                       \"drop_rate\":0.1,\"top_down_steps\":300,\
                        \"bottom_up_steps\":90},\
              \"slos\":[{\"name\":\"drop_rate\",\"threshold\":0.2,\"fast\":0.5,\
                         \"slow\":0.1,\"state\":\"breaching\"}],\

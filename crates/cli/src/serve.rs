@@ -1,6 +1,6 @@
 //! `fastbfs serve`: an instrumented BFS query server over a pool of
-//! parked warm sessions, with batch-coalescing admission and
-//! per-request deadlines.
+//! parked warm sessions, with a bounded admission queue and per-request
+//! deadlines.
 //!
 //! Architecture — three kinds of threads over plain `std::net` (no async
 //! runtime, one request per connection, `Connection: close`):
@@ -24,19 +24,17 @@
 //!   their own registry — queries on a session stay serialized
 //!   (`&mut self`), preserving the warm-reset protocol and the
 //!   synchronization-free metrics slots. A dispatcher that frees up
-//!   pops a *wave*: a head single-source reach query coalesces with the
-//!   consecutive reach queries queued behind it (up to [`MAX_WAVE`])
-//!   into one `run_batch`-equivalent dispatch via
-//!   [`query::execute_wave`], and the per-request results fan back to
-//!   the individual waiters. Requests whose deadline passed while they
-//!   waited are answered 504 at pop time without ever executing.
+//!   pops the job at the head of the queue, runs it through
+//!   [`query::execute`], and replies to its waiter before popping the
+//!   next. Requests whose deadline passed while they waited are answered
+//!   504 at pop time without ever executing.
 //!
 //! Every admitted request carries a lifecycle span: request id plus
-//! parse, queue-wait, and execute segments, the session that ran it and
-//! the size of the wave it rode in. Spans are echoed in the response
-//! JSON and accumulate into the per-session registries; `/metrics`
-//! merges those registries into one fleet-wide exposition
-//! ([`MetricsSnapshot::merge`]) plus per-session busy/served series.
+//! parse, queue-wait, and execute segments, and the session that ran
+//! it. Spans are echoed in the response JSON and accumulate into the
+//! per-session registries; `/metrics` merges those registries into one
+//! fleet-wide exposition ([`MetricsSnapshot::merge`]) plus per-session
+//! busy/served series.
 //!
 //! Endpoints:
 //!
@@ -114,7 +112,7 @@ use bfs_metrics::rollup::{self, RollupRing, SloConfig, SloState, WindowStats};
 use bfs_metrics::{prom, Counter, Hist, MetricsSnapshot};
 use bfs_platform::Topology;
 use bfs_trace::{
-    FlightRecorder, FlightStats, LevelDigest, RequestTrace, TailSampler, TraceDigest, TraceLookup,
+    FlightRecorder, FlightStats, RequestTrace, TailSampler, TraceDigest, TraceLookup,
     LEVEL_DIGEST_CAP,
 };
 use serde::Serialize;
@@ -128,13 +126,10 @@ use crate::opts::Opts;
 /// legitimately take seconds.
 const DISPATCH_TIMEOUT: Duration = Duration::from_secs(60);
 /// Minimum interval between a busy dispatcher's snapshot publishes;
-/// bounds the per-wave metrics overhead under load. An idle queue always
-/// publishes before replying (see [`serve_wave`]).
+/// bounds the per-request metrics overhead and the staleness of scrapes
+/// under load. An idle queue always publishes before replying (see
+/// [`serve_job`]).
 const PUBLISH_INTERVAL: Duration = Duration::from_millis(50);
-/// Most queued single-source reach queries one wave coalesces. Bounds
-/// how long the wave's first waiter can be delayed behind its peers and
-/// how stale the published metrics can get mid-wave.
-const MAX_WAVE: usize = 16;
 
 /// The admission queue and its occupancy accounting. One lock holds all
 /// three so scrapes read a consistent picture: a request is *either*
@@ -156,7 +151,7 @@ struct SessionShared {
     snapshot: Mutex<MetricsSnapshot>,
     /// Traversals run, as of the last publish.
     traversals: AtomicU64,
-    /// 1 while warming up or executing a wave, 0 while parked.
+    /// 1 while warming up or serving a request, 0 while parked.
     busy: AtomicU64,
     /// Requests this session answered (executed or deadline-dropped).
     served: AtomicU64,
@@ -245,9 +240,10 @@ struct Reply {
     body: Vec<u8>,
 }
 
-/// Lifecycle span echoed in each response (nanoseconds, plus wave
-/// placement). The serialize segment is measured around rendering this
-/// very document, so it lands only in the registry counters, not here.
+/// Lifecycle span echoed in each response (nanoseconds, plus the
+/// answering session). The serialize segment is measured around
+/// rendering this very document, so it lands only in the registry
+/// counters, not here.
 struct Span {
     parse_ns: u64,
     queue_ns: u64,
@@ -255,9 +251,6 @@ struct Span {
     execute_ns: u64,
     /// Which session answered.
     session: usize,
-    /// Executed queries in the wave this request rode in; 0 for
-    /// deadline-dropped requests (they were never part of one).
-    wave: usize,
 }
 
 /// `/snapshot` document. Owns its fields: the vendored serde derive has
@@ -356,7 +349,6 @@ struct WindowDoc {
     p99_ms: f64,
     error_rate: f64,
     drop_rate: f64,
-    coalesce_rate: f64,
     top_down_steps: u64,
     bottom_up_steps: u64,
 }
@@ -389,7 +381,6 @@ struct FrameDoc {
     requests: u64,
     errors: u64,
     dropped: u64,
-    coalesced: u64,
     qps: f64,
     p50_ms: f64,
     p99_ms: f64,
@@ -656,8 +647,8 @@ fn wake_workers(state: &ServerState, n: usize) {
 }
 
 /// One session dispatcher: warms its slice of the warmup roots, then
-/// pops coalesced waves off the admission queue until shutdown. Returns
-/// `(requests answered, traversals run)`.
+/// pops one job at a time off the admission queue until shutdown.
+/// Returns `(requests answered, traversals run)`.
 fn run_session(
     idx: usize,
     session: &mut BfsSession<'_>,
@@ -683,29 +674,13 @@ fn run_session(
 
     let mut served = 0u64;
     let mut last_publish = Instant::now();
-    let mut wave: Vec<Job> = Vec::new();
     loop {
-        {
+        let job = {
             let mut adm = lock(&state.admission);
             loop {
-                if let Some(head) = adm.queue.pop_front() {
-                    // Coalesce: a reach head absorbs the consecutive
-                    // reach queries queued behind it. Path/batch jobs
-                    // dispatch alone (their latency profile differs).
-                    let coalesce = matches!(head.kind, QueryKind::Reach { .. });
-                    wave.push(head);
-                    while coalesce
-                        && wave.len() < MAX_WAVE
-                        && matches!(
-                            adm.queue.front().map(|j| &j.kind),
-                            Some(QueryKind::Reach { .. })
-                        )
-                    {
-                        let next = adm.queue.pop_front().expect("front was Some");
-                        wave.push(next);
-                    }
-                    adm.in_flight += wave.len() as u64;
-                    break;
+                if let Some(job) = adm.queue.pop_front() {
+                    adm.in_flight += 1;
+                    break job;
                 }
                 if adm.stop {
                     drop(adm);
@@ -718,47 +693,39 @@ fn run_session(
                     .unwrap_or_else(|e| e.into_inner())
                     .0;
             }
-        }
+        };
         shared.busy.store(1, Ordering::Relaxed);
         #[cfg(test)]
         shed_hold::hold(state.local.port());
-        served += serve_wave(idx, session, &mut wave, &mut out, state, &mut last_publish);
+        serve_job(idx, session, job, &mut out, state, &mut last_publish);
+        served += 1;
         shared.busy.store(0, Ordering::Relaxed);
     }
 }
 
-/// Serves one popped wave: triages deadlines, executes the survivors as
-/// one batch-equivalent dispatch, records every lifecycle span, and
-/// fans the replies back. Returns the number of requests answered.
-fn serve_wave(
+/// Serves one popped job: answers 504 if its deadline lapsed while it
+/// waited, otherwise executes it, records its lifecycle span and trace,
+/// and replies.
+fn serve_job(
     idx: usize,
     session: &mut BfsSession<'_>,
-    wave: &mut Vec<Job>,
+    mut job: Job,
     out: &mut BfsOutput,
     state: &ServerState,
     last_publish: &mut Instant,
-) -> u64 {
+) {
+    let queue_ns = elapsed_ns(job.enqueued);
     // Deadline triage at pop time: a request whose budget lapsed while
     // it waited is answered 504 and never reaches the engine.
-    let popped = Instant::now();
-    let mut dropped: Vec<(Job, u64)> = Vec::new();
-    let mut live: Vec<(Job, u64)> = Vec::new();
-    for job in wave.drain(..) {
-        let queue_ns = elapsed_ns(job.enqueued);
-        match job.deadline {
-            Some(d) if d <= popped => dropped.push((job, queue_ns)),
-            _ => live.push((job, queue_ns)),
-        }
-    }
-    let wave_size = live.len();
-    for (job, queue_ns) in dropped.iter_mut() {
-        let span = Span {
-            parse_ns: job.parse_ns,
-            queue_ns: *queue_ns,
-            execute_ns: 0,
-            session: idx,
-            wave: 0,
-        };
+    let expired = job.deadline.is_some_and(|d| d <= Instant::now());
+    let mut span = Span {
+        parse_ns: job.parse_ns,
+        queue_ns,
+        execute_ns: 0,
+        session: idx,
+    };
+    let mut serialize_ns = 0;
+    if expired {
         job.buf.clear();
         let _ = write!(
             job.buf,
@@ -767,51 +734,27 @@ fn serve_wave(
         );
         write_span(&mut job.buf, &span);
         job.buf.push(b'}');
-    }
-
-    // Execute the survivors as one wave; each result renders into its
-    // waiter's buffer as the traversal completes, and the sampler rules
-    // on the trace *inside* the callback — the executing session's level
-    // digest must be copied out before the next wave member overwrites
-    // it.
-    let kinds: Vec<QueryKind> = live.iter().map(|(j, _)| j.kind.clone()).collect();
-    let mut timings: Vec<LiveTiming> = (0..live.len()).map(|_| LiveTiming::default()).collect();
-    let mut seg = Instant::now();
-    query::execute_wave(session, &kinds, out, |sess, i, outcome| {
-        let execute_ns = elapsed_ns(seg);
-        let (job, queue_ns) = &mut live[i];
+    } else {
+        let exec = Instant::now();
+        let outcome = query::execute(session, &job.kind, out);
+        span.execute_ns = elapsed_ns(exec);
         let ser = Instant::now();
-        let span = Span {
-            parse_ns: job.parse_ns,
-            queue_ns: *queue_ns,
-            execute_ns,
-            session: idx,
-            wave: wave_size,
-        };
         render_outcome(&mut job.buf, job.id, &job.trace_id, &outcome, &span);
-        let serialize_ns = elapsed_ns(ser);
-        let total_ns = elapsed_ns(job.arrival);
-        let keep = lock(&state.sampler).decide(total_ns, false);
-        // The flight cap lives here, on the copy: the session's record
-        // is uncapped, a kept trace holds its first LEVEL_DIGEST_CAP levels.
-        let (levels, levels_truncated) = if keep {
-            sess.with_level_digest(|levels| {
-                let kept = &levels[..levels.len().min(LEVEL_DIGEST_CAP)];
-                (kept.to_vec(), (levels.len() - kept.len()) as u64)
-            })
-        } else {
-            (Vec::new(), 0)
-        };
-        timings[i] = LiveTiming {
-            execute_ns,
-            serialize_ns,
-            total_ns,
-            keep,
-            levels,
-            levels_truncated,
-        };
-        seg = Instant::now();
-    });
+        serialize_ns = elapsed_ns(ser);
+    }
+    let total_ns = elapsed_ns(job.arrival);
+    // A deadline drop is a failure: its full trace is always kept.
+    let keep = expired || lock(&state.sampler).decide(total_ns, false);
+    // The flight cap lives here, on the copy: the session's record is
+    // uncapped, a kept trace holds its first LEVEL_DIGEST_CAP levels.
+    let (levels, levels_truncated) = if keep && !expired {
+        session.with_level_digest(|all| {
+            let kept = &all[..all.len().min(LEVEL_DIGEST_CAP)];
+            (kept.to_vec(), (all.len() - kept.len()) as u64)
+        })
+    } else {
+        (Vec::new(), 0)
+    };
 
     // Single-writer metrics: only this dispatcher touches this session's
     // registry, and worker-side error/trace tallies arrive via the
@@ -819,130 +762,83 @@ fn serve_wave(
     let errors = state.http_errors.swap(0, Ordering::Relaxed);
     let worker_traces = state.trace_sampled_errors.swap(0, Ordering::Relaxed);
     {
-        let kept = timings.iter().filter(|t| t.keep).count() as u64;
         let mut d = session.metrics_mut().driver();
         d.add(Counter::ServeErrors, errors);
-        d.add(
-            Counter::ServeTraceSampled,
-            worker_traces + dropped.len() as u64 + kept,
-        );
-        d.add(Counter::ServeTraceDigest, timings.len() as u64 - kept);
-        for (job, queue_ns) in &dropped {
-            d.add(Counter::ServeRequests, 1);
+        d.add(Counter::ServeTraceSampled, worker_traces + keep as u64);
+        d.add(Counter::ServeTraceDigest, !keep as u64);
+        d.add(Counter::ServeRequests, 1);
+        d.add(Counter::ServeParseNs, job.parse_ns);
+        d.add(Counter::ServeQueueNs, queue_ns);
+        d.observe(Hist::ServeQueueNs, queue_ns);
+        if expired {
             d.add(Counter::ServeDeadlineDropped, 1);
-            d.add(Counter::ServeParseNs, job.parse_ns);
-            d.add(Counter::ServeQueueNs, *queue_ns);
-            d.observe(Hist::ServeQueueNs, *queue_ns);
-        }
-        for ((job, queue_ns), t) in live.iter().zip(timings.iter()) {
-            d.add(Counter::ServeRequests, 1);
-            d.add(Counter::ServeParseNs, job.parse_ns);
-            d.add(Counter::ServeQueueNs, *queue_ns);
-            d.add(Counter::ServeExecNs, t.execute_ns);
-            d.add(Counter::ServeSerializeNs, t.serialize_ns);
-            d.observe(Hist::ServeQueueNs, *queue_ns);
-            d.observe(Hist::ServeRequestNs, t.total_ns);
-        }
-        if wave_size >= 2 {
-            d.add(Counter::ServeCoalescedWaves, 1);
-            d.add(Counter::ServeCoalescedRequests, wave_size as u64);
+        } else {
+            d.add(Counter::ServeExecNs, span.execute_ns);
+            d.add(Counter::ServeSerializeNs, serialize_ns);
+            d.observe(Hist::ServeRequestNs, total_ns);
         }
     }
 
-    let answered = (dropped.len() + live.len()) as u64;
     let idle = {
         let mut adm = lock(&state.admission);
-        adm.in_flight -= answered;
+        adm.in_flight -= 1;
         adm.queue.is_empty()
     };
     // Publish *before* replying when the queue is idle (or the rate
     // limit allows): a client that has its response is guaranteed the
     // next scrape already includes its request. Under sustained load the
-    // interval bounds the overhead and staleness is capped by MAX_WAVE.
+    // interval bounds the overhead and the staleness.
     if idle || last_publish.elapsed() >= PUBLISH_INTERVAL {
         publish(idx, session, state);
         *last_publish = Instant::now();
     }
-    let shared = &state.sessions[idx];
-    for (mut job, queue_ns) in dropped {
-        // A deadline drop is a failure: its full trace is always kept.
+    let trace_id = std::mem::take(&mut job.trace_id);
+    if keep {
+        let (status, outcome, error) = if expired {
+            (
+                504,
+                "deadline_dropped",
+                Some("deadline expired while queued"),
+            )
+        } else {
+            (200, "ok", None)
+        };
         record_full_trace(
             state,
             RequestTrace {
-                id: std::mem::take(&mut job.trace_id),
+                id: trace_id,
                 query: std::mem::take(&mut job.query_desc),
-                status: 504,
-                outcome: "deadline_dropped".to_string(),
-                error: Some("deadline expired while queued".to_string()),
+                status,
+                outcome: outcome.to_string(),
+                error: error.map(str::to_string),
                 sampled: true,
                 parse_ns: job.parse_ns,
                 queue_ns,
-                execute_ns: 0,
-                serialize_ns: 0,
-                total_ns: elapsed_ns(job.arrival),
+                execute_ns: span.execute_ns,
+                serialize_ns,
+                total_ns,
                 session: Some(idx as u64),
-                wave: 0,
-                levels: Vec::new(),
-                levels_truncated: 0,
+                levels,
+                levels_truncated,
             },
         );
-        shared.served.fetch_add(1, Ordering::Relaxed);
-        let _ = job.resp.send(Reply {
-            status: "504 Gateway Timeout",
-            body: job.buf,
+    } else {
+        state.recorder.record_digest(TraceDigest {
+            id: trace_id,
+            status: 200,
+            total_ns,
+            sampled: false,
         });
     }
-    for ((mut job, queue_ns), t) in live.into_iter().zip(timings) {
-        let trace_id = std::mem::take(&mut job.trace_id);
-        if t.keep {
-            record_full_trace(
-                state,
-                RequestTrace {
-                    id: trace_id,
-                    query: std::mem::take(&mut job.query_desc),
-                    status: 200,
-                    outcome: "ok".to_string(),
-                    error: None,
-                    sampled: true,
-                    parse_ns: job.parse_ns,
-                    queue_ns,
-                    execute_ns: t.execute_ns,
-                    serialize_ns: t.serialize_ns,
-                    total_ns: t.total_ns,
-                    session: Some(idx as u64),
-                    wave: wave_size as u64,
-                    levels: t.levels,
-                    levels_truncated: t.levels_truncated,
-                },
-            );
+    state.sessions[idx].served.fetch_add(1, Ordering::Relaxed);
+    let _ = job.resp.send(Reply {
+        status: if expired {
+            "504 Gateway Timeout"
         } else {
-            state.recorder.record_digest(TraceDigest {
-                id: trace_id,
-                status: 200,
-                total_ns: t.total_ns,
-                sampled: false,
-            });
-        }
-        shared.served.fetch_add(1, Ordering::Relaxed);
-        let _ = job.resp.send(Reply {
-            status: "200 OK",
-            body: job.buf,
-        });
-    }
-    answered
-}
-
-/// Per-live-request measurements and the sampler's verdict, captured
-/// inside the wave callback (the level digest is only valid until the
-/// next wave member runs).
-#[derive(Default)]
-struct LiveTiming {
-    execute_ns: u64,
-    serialize_ns: u64,
-    total_ns: u64,
-    keep: bool,
-    levels: Vec<LevelDigest>,
-    levels_truncated: u64,
+            "200 OK"
+        },
+        body: job.buf,
+    });
 }
 
 /// Stores a sampled trace in the full ring and, when `--trace-log` is
@@ -988,7 +884,6 @@ fn record_failure_trace(
             serialize_ns: 0,
             total_ns: elapsed_ns(arrival),
             session: None,
-            wave: 0,
             levels: Vec::new(),
             levels_truncated: 0,
         },
@@ -1029,8 +924,8 @@ fn publish(idx: usize, session: &mut BfsSession<'_>, state: &ServerState) {
 fn write_span(buf: &mut Vec<u8>, s: &Span) {
     let _ = write!(
         buf,
-        "\"spans\":{{\"parse_ns\":{},\"queue_ns\":{},\"execute_ns\":{},\"session\":{},\"wave\":{}}}",
-        s.parse_ns, s.queue_ns, s.execute_ns, s.session, s.wave
+        "\"spans\":{{\"parse_ns\":{},\"queue_ns\":{},\"execute_ns\":{},\"session\":{}}}",
+        s.parse_ns, s.queue_ns, s.execute_ns, s.session
     );
 }
 
@@ -1195,7 +1090,6 @@ fn window_doc(w: &WindowStats) -> WindowDoc {
         p99_ms: w.latency_ms(0.99),
         error_rate: w.error_rate(),
         drop_rate: w.drop_rate(),
-        coalesce_rate: w.coalesce_rate(),
         top_down_steps: top_down,
         bottom_up_steps: bottom_up,
     }
@@ -1275,7 +1169,6 @@ fn timeseries_body(state: &ServerState, limit: usize) -> Result<String, String> 
                     requests,
                     errors: f.counter(Counter::ServeErrors),
                     dropped: f.counter(Counter::ServeDeadlineDropped),
-                    coalesced: f.counter(Counter::ServeCoalescedRequests),
                     qps: if f.interval_s > 0.0 {
                         requests as f64 / f.interval_s
                     } else {
@@ -1329,7 +1222,7 @@ fn metrics_body(state: &ServerState) -> String {
     prom::render_labeled_gauge(
         &mut body,
         "fastbfs_session_busy",
-        "1 while the session is warming up or executing a wave, 0 while parked",
+        "1 while the session is warming up or serving a request, 0 while parked",
         "session",
         &busy,
     );
@@ -1805,7 +1698,7 @@ fn enqueue_and_reply(
 }
 
 /// Test-only session hold, for tests that must observe a full admission
-/// queue: once a test arms a server (by its listening port), the next wave
+/// queue: once a test arms a server (by its listening port), the next job
 /// a session of that server pops waits — session busy, queue filling
 /// behind it — until the server sheds a request, then runs. One shot per
 /// arm; a hold gives up after [`shed_hold::MAX_HOLD`] so a test that never
@@ -1917,11 +1810,13 @@ mod tests {
         addr.rsplit(':').next().unwrap().parse().unwrap()
     }
 
-    /// Polls until session 0 is executing a wave (or `job` has already
-    /// finished, or `deadline` passed).
+    /// Polls until a session has popped a request (or `job` has already
+    /// finished, or `deadline` passed). Reads the in-flight gauge, not the
+    /// busy flag: a session clears `busy` only after replying, so a client
+    /// that just got an answer can still see the flag set.
     fn wait_until_busy<T>(addr: &str, job: &std::thread::JoinHandle<T>, deadline: Instant) {
         while Instant::now() < deadline && !job.is_finished() {
-            if series_value(&get(addr, "/metrics").body, "fastbfs_session_busy") >= 1 {
+            if series_value(&get(addr, "/metrics").body, "fastbfs_in_flight") >= 1 {
                 return;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -1959,12 +1854,11 @@ mod tests {
                 > 0
         );
         let spans = v.get("spans").expect("lifecycle spans");
-        for key in ["parse_ns", "queue_ns", "execute_ns", "session", "wave"] {
+        for key in ["parse_ns", "queue_ns", "execute_ns", "session"] {
             assert!(spans.get(key).and_then(|x| x.as_u64()).is_some(), "{key}");
         }
         assert!(spans.get("execute_ns").and_then(|x| x.as_u64()).unwrap() > 0);
-        // A lone request executes as a wave of one.
-        assert_eq!(spans.get("wave").and_then(|x| x.as_u64()), Some(1));
+        assert!(spans.get("wave").is_none(), "{}", r.body);
 
         // Path query: endpoints must match the request.
         let p = get(&addr, "/path?src=0&dst=17");
@@ -2138,7 +2032,8 @@ mod tests {
         assert!(v.get("id").and_then(|x| x.as_u64()).unwrap() > 0);
         let spans = v.get("spans").expect("dropped requests keep their spans");
         assert_eq!(spans.get("execute_ns").and_then(|x| x.as_u64()), Some(0));
-        assert_eq!(spans.get("wave").and_then(|x| x.as_u64()), Some(0));
+        assert_eq!(spans.get("session").and_then(|x| x.as_u64()), Some(0));
+        assert!(spans.get("wave").is_none(), "{}", r.body);
         assert!(spans.get("queue_ns").and_then(|x| x.as_u64()).is_some());
 
         // A malformed header is a client error, not a query.
@@ -2192,12 +2087,27 @@ mod tests {
         driver.join().unwrap().unwrap();
     }
 
+    /// Requests that pile up behind a busy session are answered one at a
+    /// time on the same warm session, each exactly as if served alone.
     #[test]
-    fn coalesced_waves_answer_identically_to_solo_queries() {
+    fn queued_requests_answer_identically_to_solo_queries() {
         // One session, one lane: parents are deterministic, so answers
-        // can be compared byte-for-byte (minus per-request id/spans).
-        let (driver, addr) = start(&["--sessions", "1", "--threads", "1"]);
-        let queries: Vec<(u32, u32)> = (0..8u32)
+        // can be compared byte-for-byte (minus per-request id/spans). The
+        // queue holds exactly the burst, so one more request is shed; each
+        // waiting request blocks an HTTP worker, so there are spares for
+        // the holder, the overflow probe and the scrapes.
+        const BURST: usize = 8;
+        let (driver, addr) = start(&[
+            "--sessions",
+            "1",
+            "--threads",
+            "1",
+            "--queue-cap",
+            &BURST.to_string(),
+            "--http-threads",
+            &(BURST + 4).to_string(),
+        ]);
+        let queries: Vec<(u32, u32)> = (0..BURST as u32)
             .map(|i| (i * 13 % 400, (i * 37 + 5) % 400))
             .collect();
         let solo: Vec<String> = queries
@@ -2209,42 +2119,44 @@ mod tests {
             })
             .collect();
 
+        // Hold the lone session on a first request until the server sheds
+        // one, queue the burst behind it, then overflow the queue.
         let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            // Occupy the lone session with a slow batch, then burst the
-            // reach queries so they pile up behind it and coalesce.
-            let addr2 = addr.clone();
-            let batch = std::thread::spawn(move || {
-                let sources: Vec<String> = (0..400u32).map(|i| i.to_string()).collect();
-                let body = format!("{{\"sources\":[{}]}}", sources.join(","));
-                http::post_json(&addr2, "/query", &body, Duration::from_secs(30)).unwrap()
-            });
-            let burst: Vec<_> = queries
-                .iter()
-                .map(|&(s, d)| {
-                    let addr = addr.clone();
-                    std::thread::spawn(move || {
-                        http::get(
-                            &addr,
-                            &format!("/query?src={s}&dst={d}"),
-                            Duration::from_secs(30),
-                        )
-                        .unwrap()
-                    })
+        shed_hold::arm(port_of(&addr));
+        let addr2 = addr.clone();
+        let holder = std::thread::spawn(move || {
+            http::get(&addr2, "/query?src=1", Duration::from_secs(60)).unwrap()
+        });
+        wait_until_busy(&addr, &holder, deadline);
+        let burst: Vec<_> = queries
+            .iter()
+            .map(|&(s, d)| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    http::get(
+                        &addr,
+                        &format!("/query?src={s}&dst={d}"),
+                        Duration::from_secs(60),
+                    )
+                    .unwrap()
                 })
-                .collect();
-            assert!(batch.join().unwrap().ok());
-            for (h, want) in burst.into_iter().zip(&solo) {
-                let r = h.join().unwrap();
-                assert!(r.ok(), "{} {}", r.status, r.body);
-                assert_eq!(&core_of(&r.body), want, "coalesced answer differs");
-            }
-            let m = get(&addr, "/metrics").body;
-            if series_value(&m, "fastbfs_serve_coalesced_requests_total") >= 2 {
-                assert!(series_value(&m, "fastbfs_serve_coalesced_waves_total") >= 1);
-                break;
-            }
-            assert!(Instant::now() < deadline, "no wave ever coalesced:\n{m}");
+            })
+            .collect();
+        while series_value(&get(&addr, "/metrics").body, "fastbfs_queue_depth") < BURST as u64 {
+            assert!(Instant::now() < deadline, "the burst never queued up");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(get(&addr, "/query?src=2").status, 503);
+
+        assert!(holder.join().unwrap().ok());
+        for (h, want) in burst.into_iter().zip(&solo) {
+            let r = h.join().unwrap();
+            assert!(r.ok(), "{} {}", r.status, r.body);
+            assert_eq!(&core_of(&r.body), want, "queued answer differs");
+            let v = serde_json::parse(&r.body).unwrap();
+            let spans = v.get("spans").expect("lifecycle spans");
+            assert_eq!(spans.get("session").and_then(|x| x.as_u64()), Some(0));
+            assert!(spans.get("wave").is_none(), "{}", r.body);
         }
         assert!(get(&addr, "/quitquitquit").body.ends_with("bye\n"));
         driver.join().unwrap().unwrap();
@@ -2291,7 +2203,7 @@ mod tests {
         assert_eq!(tv.get("sampled").and_then(|x| x.as_bool()), Some(true));
         assert_eq!(tv.get("query").and_then(|x| x.as_str()), Some("GET /query"));
         assert_eq!(tv.get("session").and_then(|x| x.as_u64()), Some(0));
-        assert_eq!(tv.get("wave").and_then(|x| x.as_u64()), Some(1));
+        assert!(tv.get("wave").is_none(), "{}", t.body);
         let total = tv.get("total_ns").and_then(|x| x.as_u64()).unwrap();
         let span_sum: u64 = ["parse_ns", "queue_ns", "execute_ns", "serialize_ns"]
             .iter()
@@ -2449,7 +2361,7 @@ mod tests {
             Some("deadline_dropped")
         );
         assert_eq!(tv.get("execute_ns").and_then(|x| x.as_u64()), Some(0));
-        assert_eq!(tv.get("wave").and_then(|x| x.as_u64()), Some(0));
+        assert!(tv.get("wave").is_none(), "{}", t.body);
         assert_eq!(tv.get("session").and_then(|x| x.as_u64()), Some(0));
 
         // A fast success: the sampler has seen fewer than its warmup

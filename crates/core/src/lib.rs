@@ -25,8 +25,6 @@
 //! * [`frontier`] — per-thread boundary-vertex arrays and the one-pass
 //!   TLB-aware rearrangement (§III-B3(b), §III-C(7)).
 //! * [`prefetch`] — software prefetch of adjacency lists (§III-C(3)).
-//! * [`partitioned`] — the §III-B2 socket-partitioned adjacency storage
-//!   over the NUMA arena emulation.
 //! * [`engine`] — the complete two-phase traversal of Figure 3.
 //! * [`session`] — persistent query sessions: epoch-stamped O(touched)
 //!   state reset and batched multi-source BFS over one engine.
@@ -64,7 +62,6 @@ pub mod direction;
 pub mod dp;
 pub mod engine;
 pub mod frontier;
-pub mod partitioned;
 pub mod pbv;
 pub mod prefetch;
 pub mod query;

@@ -206,40 +206,6 @@ pub fn execute(
     }
 }
 
-/// Runs a coalesced wave of validated requests, handing each outcome to
-/// `on_done(session, index, outcome)` as soon as it is ready. The shared
-/// session reference lets the callback read per-request execution state
-/// — in particular the just-finished traversal's level digest
-/// ([`BfsSession::with_level_digest`]) before the next wave member
-/// overwrites it (the flight-recorder hook).
-///
-/// This is the admission-coalescing seam: a server that finds several
-/// single-source requests queued when a session frees up batches them
-/// into one wave instead of round-tripping the dispatch machinery per
-/// request. The traversal sequence is exactly what [`BfsSession::run_batch`]
-/// would issue for the same sources — one warm `run_reusing` per request,
-/// in order, against the same session state — so each outcome is
-/// *identical* to serving that request alone (depths, counts, and parent
-/// validity; parents themselves are §III-A's schedule-dependent benign
-/// race with more than one lane). Unlike `run_batch` the wave reuses one
-/// `BfsOutput` and fans results out incrementally, so waiters early in
-/// the wave are answered before the tail finishes.
-///
-/// # Panics
-/// Panics if any request was not validated and names an out-of-range
-/// vertex.
-pub fn execute_wave(
-    session: &mut BfsSession<'_>,
-    wave: &[QueryKind],
-    out: &mut BfsOutput,
-    mut on_done: impl FnMut(&BfsSession<'_>, usize, QueryOutcome),
-) {
-    for (i, kind) in wave.iter().enumerate() {
-        let outcome = execute(session, kind, out);
-        on_done(session, i, outcome);
-    }
-}
-
 /// Walks the parent chain from `dst` back to `src` over a finished
 /// traversal rooted at `src`. Returns the path source-first, or empty when
 /// `dst` was not reached. The walk is bounded by `depths[dst] + 1` hops,
@@ -522,55 +488,24 @@ mod tests {
         assert!(!p.reached());
     }
 
-    #[test]
-    fn wave_fans_out_each_outcome_in_order() {
-        let g = path_graph(10);
-        let mut s = session(&g);
-        let mut out = BfsOutput::default();
-        let wave = vec![
-            QueryKind::Reach { src: 0, dst: None },
-            QueryKind::Reach {
-                src: 9,
-                dst: Some(0),
-            },
-            QueryKind::Path { src: 3, dst: 6 },
-        ];
-        let mut seen = Vec::new();
-        execute_wave(&mut s, &wave, &mut out, |session, i, o| {
-            // The digest hook: each callback sees the traversal that
-            // produced this outcome, before the next one overwrites it.
-            assert!(session.with_level_digest(|levels| !levels.is_empty()));
-            seen.push((i, o));
-        });
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen[0].0, 0);
-        assert_eq!(seen[2].0, 2);
-        let QueryOutcome::Reach(r) = &seen[1].1 else {
-            panic!("wrong outcome kind")
-        };
-        assert_eq!(r.dst.unwrap().depth, Some(9));
-        let QueryOutcome::Path(p) = &seen[2].1 else {
-            panic!("wrong outcome kind")
-        };
-        assert_eq!(p.path, vec![3, 4, 5, 6]);
-        // One traversal per wave entry, same as run_batch would issue.
-        assert_eq!(s.runs(), 3);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig {
             cases: 24,
             ..Default::default()
         })]
-        /// The coalescing guarantee the admission layer leans on: a wave's
-        /// outcomes are identical to serving the same queries one at a time
-        /// on a fresh warm session, across sampled engine option combos and
-        /// with or without degree-ordered relabeling. Single-lane topology:
-        /// with one worker the §III-A parent race is quiesced, so "identical"
-        /// here includes the parent arrays (and therefore the serialized
-        /// response bytes a server would emit).
+        /// The guarantee a server dispatcher leans on when it answers its
+        /// queue one request at a time on one warm session with one reused
+        /// `BfsOutput`: every outcome is identical to serving that request
+        /// alone on a fresh session with a fresh output, across sampled
+        /// engine option combos and with or without degree-ordered
+        /// relabeling. Single-lane topology: with one worker the §III-A
+        /// parent race is quiesced, so "identical" here includes the parent
+        /// arrays (and therefore the serialized response bytes a server
+        /// would emit). After each call the session's level digest
+        /// describes that call's (last) traversal, which is what a kept
+        /// flight trace copies.
         #[test]
-        fn wave_outcomes_match_individual_service(
+        fn warm_sequential_outcomes_match_individual_service(
             seed in 0u64..1000,
             relabel in proptest::any::<bool>(),
             vis_byte in proptest::any::<bool>(),
@@ -603,7 +538,7 @@ mod tests {
                 ..Default::default()
             };
             let topo = Topology::synthetic(1, 1);
-            let wave: Vec<QueryKind> = picks
+            let queries: Vec<QueryKind> = picks
                 .iter()
                 .map(|&(src, dst)| match dst {
                     d if d >= 300 => QueryKind::Reach { src, dst: None },
@@ -612,18 +547,18 @@ mod tests {
                 })
                 .collect();
 
-            let mut coalesced = BfsSession::new(graph, topo, opts);
+            let mut warm = BfsSession::new(graph, topo, opts);
             let mut out = BfsOutput::default();
-            let mut wave_outcomes: Vec<Option<QueryOutcome>> = vec![None; wave.len()];
-            execute_wave(&mut coalesced, &wave, &mut out, |_, i, o| {
-                wave_outcomes[i] = Some(o);
-            });
+            for (i, kind) in queries.iter().enumerate() {
+                let got = execute(&mut warm, kind, &mut out);
+                proptest::prop_assert_eq!(warm.runs(), i as u64 + 1);
+                let digest_depth = warm.with_level_digest(|levels| levels.len() as u32);
+                proptest::prop_assert_eq!(digest_depth, out.stats.steps);
 
-            let mut solo = BfsSession::new(graph, topo, opts);
-            for (kind, got) in wave.iter().zip(wave_outcomes.iter()) {
+                let mut solo = BfsSession::new(graph, topo, opts);
                 let mut fresh = BfsOutput::default();
                 let expect = execute(&mut solo, kind, &mut fresh);
-                proptest::prop_assert_eq!(got.as_ref(), Some(&expect));
+                proptest::prop_assert_eq!(got, expect);
             }
         }
     }

@@ -114,8 +114,6 @@ fn help(c: Counter) -> &'static str {
         Counter::ServeQueueNs => "Admission-queue wait nanoseconds",
         Counter::ServeExecNs => "Request traversal-execution nanoseconds",
         Counter::ServeSerializeNs => "Response serialization nanoseconds",
-        Counter::ServeCoalescedWaves => "Dispatch waves that batched two or more queued requests",
-        Counter::ServeCoalescedRequests => "Requests served inside a coalesced wave",
         Counter::ServeDeadlineDropped => {
             "Requests answered 504 after their deadline expired in the queue"
         }

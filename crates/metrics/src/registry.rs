@@ -121,12 +121,6 @@ pub enum Counter {
     ServeExecNs,
     /// Nanoseconds serializing response bodies (driver scope).
     ServeSerializeNs,
-    /// Waves that coalesced two or more queued single-source requests
-    /// into one batched dispatch (driver scope; per-session dispatcher).
-    ServeCoalescedWaves,
-    /// Requests served as part of a coalesced (multi-request) wave
-    /// (driver scope; per-session dispatcher).
-    ServeCoalescedRequests,
     /// Requests answered 504 because their deadline passed while queued —
     /// dropped without ever executing (driver scope; per-session
     /// dispatcher).
@@ -144,8 +138,9 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in stable index order (`c as usize` indexes this).
     /// Additions are append-only so snapshots serialized by older builds
-    /// keep their positional meaning.
-    pub const ALL: [Counter; 46] = [
+    /// keep their positional meaning. A removal shifts every later index,
+    /// so read a snapshot from another build by counter name.
+    pub const ALL: [Counter; 44] = [
         Counter::Queries,
         Counter::QueryNs,
         Counter::Steps,
@@ -187,8 +182,6 @@ impl Counter {
         Counter::ServeQueueNs,
         Counter::ServeExecNs,
         Counter::ServeSerializeNs,
-        Counter::ServeCoalescedWaves,
-        Counter::ServeCoalescedRequests,
         Counter::ServeDeadlineDropped,
         Counter::ServeTraceSampled,
         Counter::ServeTraceDigest,
@@ -238,8 +231,6 @@ impl Counter {
             Counter::ServeQueueNs => "serve_queue_ns",
             Counter::ServeExecNs => "serve_exec_ns",
             Counter::ServeSerializeNs => "serve_serialize_ns",
-            Counter::ServeCoalescedWaves => "serve_coalesced_waves",
-            Counter::ServeCoalescedRequests => "serve_coalesced_requests",
             Counter::ServeDeadlineDropped => "serve_deadline_dropped",
             Counter::ServeTraceSampled => "serve_trace_sampled",
             Counter::ServeTraceDigest => "serve_trace_digest",

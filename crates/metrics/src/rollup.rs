@@ -248,16 +248,6 @@ impl WindowStats {
         }
     }
 
-    /// Fraction of answered requests that rode a coalesced wave.
-    pub fn coalesce_rate(&self) -> f64 {
-        let reqs = self.counter(Counter::ServeRequests);
-        if reqs == 0 {
-            0.0
-        } else {
-            self.counter(Counter::ServeCoalescedRequests) as f64 / reqs as f64
-        }
-    }
-
     /// `(top_down, bottom_up)` step deltas — the windowed direction mix.
     pub fn direction_mix(&self) -> (u64, u64) {
         (
@@ -624,13 +614,11 @@ mod tests {
         w.counters[Counter::ServeRequests as usize] = 10;
         w.counters[Counter::ServeErrors as usize] = 10;
         w.counters[Counter::ServeDeadlineDropped as usize] = 5;
-        w.counters[Counter::ServeCoalescedRequests as usize] = 4;
         w.counters[Counter::TopDownSteps as usize] = 30;
         w.counters[Counter::BottomUpSteps as usize] = 10;
         assert!((w.qps() - 5.0).abs() < 1e-9);
         assert!((w.error_rate() - 0.5).abs() < 1e-9);
         assert!((w.drop_rate() - 0.5).abs() < 1e-9);
-        assert!((w.coalesce_rate() - 0.4).abs() < 1e-9);
         assert_eq!(w.direction_mix(), (30, 10));
         // Empty window: all rates are defined and zero.
         let e = WindowStats::empty();

@@ -9,10 +9,6 @@
 //!   `|V_NS|` vertex→socket mapping rule of §III-C(1):
 //!   `Socket_Id(v) = v >> log2(|V_NS|)` with `|V_NS|` rounded up to a power
 //!   of two.
-//! * [`arena::NumaArena`] — emulation of `numa_alloc_onnode`: allocations
-//!   carry a home socket and per-socket byte accounting, so experiments can
-//!   verify the placement policy of §III-B (Adj/DP/VIS evenly divided, BV and
-//!   PBV thread-local).
 //! * [`barrier::SenseBarrier`] — the synchronization point between BFS steps
 //!   and between Phase I / Phase II: a sense-reversing spin barrier with
 //!   yield fallback (the host here has fewer cores than the paper's machine,
@@ -28,7 +24,6 @@
 //!   (plain unsynchronized stores on the hot path, merged after the pool's
 //!   finish barrier).
 
-pub mod arena;
 pub mod barrier;
 pub mod hugepage;
 pub mod padded;

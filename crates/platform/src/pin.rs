@@ -1,8 +1,9 @@
 //! Core pinning — the `libnuma`/affinity stand-in.
 //!
 //! The paper pins worker threads to cores and allocates memory on the
-//! corresponding socket with libnuma. The allocation half is emulated by
-//! [`crate::arena`]; this module provides the thread half via
+//! corresponding socket with libnuma. The allocation half is modeled by the
+//! memory simulator's socket placement (`bfs-memsim`); this module provides
+//! the thread half via
 //! `sched_setaffinity` on Linux and a documented no-op elsewhere (pinning is
 //! an optimization, never a correctness requirement — all experiments run
 //! unpinned on hosts that disallow affinity changes).

@@ -162,8 +162,8 @@ fn bucket_upper_bound_ns(i: usize) -> u64 {
 }
 
 /// One completed request, joined end to end: lifecycle spans from the
-/// server (parse/queue/execute/serialize), placement (session, wave),
-/// and the executing session's per-level digest.
+/// server (parse/queue/execute/serialize), the session that answered,
+/// and its per-level digest.
 #[derive(Clone, Debug, Serialize)]
 pub struct RequestTrace {
     /// Trace id: the client's `Trace-Id` header, or server-generated.
@@ -189,9 +189,6 @@ pub struct RequestTrace {
     /// Session that executed (or deadline-dropped) the request; `None`
     /// when it never reached one (4xx, shed, dispatch timeout).
     pub session: Option<u64>,
-    /// Executed queries in the wave this request rode in; 0 when it
-    /// never executed.
-    pub wave: u64,
     /// Per-level digest of the traversal that answered the request (for
     /// batch requests: the last source's traversal).
     pub levels: Vec<LevelDigest>,
@@ -360,7 +357,6 @@ mod tests {
             serialize_ns: 5,
             total_ns,
             session: Some(0),
-            wave: 1,
             levels: vec![LevelDigest {
                 step: 1,
                 top_down: true,

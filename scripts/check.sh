@@ -152,7 +152,7 @@ curl -fsS "http://$ADDR/quitquitquit" >/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
 
-echo "==> multi-session overload smoke (session pool, coalescing, deadlines)"
+echo "==> multi-session overload smoke (session pool, queued dispatch, deadlines)"
 POOL_ADDR_FILE="$(mktemp /tmp/check_pool_XXXXXX.addr)"
 POOL_OVER="$(mktemp /tmp/check_pool_XXXXXX.json)"
 POOL_A="$(mktemp /tmp/check_pool_XXXXXX.json)"
@@ -283,7 +283,7 @@ t = json.load(sys.stdin)
 assert t["sampled"] is True and t["status"] == 200, t
 spans = t["parse_ns"] + t["queue_ns"] + t["execute_ns"] + t["serialize_ns"]
 assert 0 < spans <= t["total_ns"], (spans, t["total_ns"])
-assert t["session"] is not None and t["wave"] >= 1, t
+assert t["session"] is not None, t
 for lvl in t["levels"]:
     assert lvl["frontier"] > 0 and isinstance(lvl["top_down"], bool), lvl
 '
