@@ -488,16 +488,58 @@ mod tests {
         assert!(!p.reached());
     }
 
+    /// A wave here is a run of queued requests a server dispatcher answers
+    /// back to back on one warm session with one reused `BfsOutput`, one
+    /// `execute` call each.
+    #[test]
+    fn wave_fans_out_each_outcome_in_order() {
+        let g = path_graph(10);
+        let mut s = session(&g);
+        let mut out = BfsOutput::default();
+        let wave = [
+            QueryKind::Reach { src: 0, dst: None },
+            QueryKind::Reach {
+                src: 9,
+                dst: Some(0),
+            },
+            QueryKind::Path { src: 3, dst: 6 },
+        ];
+        let mut seen = Vec::new();
+        for (i, kind) in wave.iter().enumerate() {
+            let o = execute(&mut s, kind, &mut out);
+            // The digest hook: after each call the session's level digest
+            // describes the traversal that produced this outcome, before
+            // the next request overwrites it.
+            let levels = s.with_level_digest(|levels| levels.len() as u32);
+            assert!(levels > 0);
+            assert_eq!(levels, out.stats.steps);
+            seen.push((i, o));
+        }
+        assert_eq!(seen.len(), 3);
+        assert_eq!(seen[0].0, 0);
+        assert_eq!(seen[2].0, 2);
+        let QueryOutcome::Reach(r) = &seen[1].1 else {
+            panic!("wrong outcome kind")
+        };
+        assert_eq!(r.dst.unwrap().depth, Some(9));
+        let QueryOutcome::Path(p) = &seen[2].1 else {
+            panic!("wrong outcome kind")
+        };
+        assert_eq!(p.path, vec![3, 4, 5, 6]);
+        // One traversal per request, same as run_batch would issue.
+        assert_eq!(s.runs(), 3);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig {
             cases: 24,
             ..Default::default()
         })]
-        /// The guarantee a server dispatcher leans on when it answers its
-        /// queue one request at a time on one warm session with one reused
-        /// `BfsOutput`: every outcome is identical to serving that request
-        /// alone on a fresh session with a fresh output, across sampled
-        /// engine option combos and with or without degree-ordered
+        /// The guarantee a server dispatcher leans on when it answers a
+        /// wave of queued requests one at a time on one warm session with
+        /// one reused `BfsOutput`: every outcome is identical to serving
+        /// that request alone on a fresh session with a fresh output, across
+        /// sampled engine option combos and with or without degree-ordered
         /// relabeling. Single-lane topology: with one worker the §III-A
         /// parent race is quiesced, so "identical" here includes the parent
         /// arrays (and therefore the serialized response bytes a server
@@ -505,7 +547,7 @@ mod tests {
         /// describes that call's (last) traversal, which is what a kept
         /// flight trace copies.
         #[test]
-        fn warm_sequential_outcomes_match_individual_service(
+        fn wave_outcomes_match_individual_service(
             seed in 0u64..1000,
             relabel in proptest::any::<bool>(),
             vis_byte in proptest::any::<bool>(),
