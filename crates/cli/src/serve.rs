@@ -726,14 +726,7 @@ fn serve_job(
     };
     let mut serialize_ns = 0;
     if expired {
-        job.buf.clear();
-        let _ = write!(
-            job.buf,
-            "{{\"error\":\"deadline expired while queued; request dropped without executing\",\"id\":{},\"trace_id\":\"{}\",",
-            job.id, job.trace_id
-        );
-        write_span(&mut job.buf, &span);
-        job.buf.push(b'}');
+        render_deadline(&mut job.buf, job.id, &job.trace_id, &span);
     } else {
         let exec = Instant::now();
         let outcome = query::execute(session, &job.kind, out);
@@ -1005,6 +998,17 @@ fn render_outcome(buf: &mut Vec<u8>, id: u64, trace_id: &str, outcome: &QueryOut
             buf.push(b'}');
         }
     }
+}
+
+/// Renders the 504 body of a request whose deadline lapsed in the queue.
+fn render_deadline(buf: &mut Vec<u8>, id: u64, trace_id: &str, span: &Span) {
+    buf.clear();
+    let _ = write!(
+        buf,
+        "{{\"error\":\"deadline expired while queued; request dropped without executing\",\"id\":{id},\"trace_id\":\"{trace_id}\","
+    );
+    write_span(buf, span);
+    buf.push(b'}');
 }
 
 // ---- scrape path --------------------------------------------------------
@@ -2846,5 +2850,131 @@ mod tests {
         }
         assert!(get(&addr, "/quitquitquit").body.ends_with("bye\n"));
         driver.join().unwrap().unwrap();
+    }
+
+    // ---- format pins: the exact bytes every rendering path keeps ------
+
+    /// The token the rendering path writes for one f64.
+    fn f64_token(v: f64) -> String {
+        serde_json::to_string(&v).unwrap()
+    }
+
+    /// The token the rendering path writes for one string.
+    fn str_token(s: &str) -> String {
+        serde_json::to_string(s).unwrap()
+    }
+
+    /// Renders into a buffer that holds stale bytes, as a recycled
+    /// worker buffer does.
+    fn rendered(f: impl FnOnce(&mut Vec<u8>)) -> String {
+        let mut buf = b"stale".to_vec();
+        f(&mut buf);
+        String::from_utf8(buf).unwrap()
+    }
+
+    fn pinned_span(execute_ns: u64) -> Span {
+        Span {
+            parse_ns: 11,
+            queue_ns: 22,
+            execute_ns,
+            session: 1,
+        }
+    }
+
+    fn pinned_reach(dst: Option<query::VertexInfo>) -> query::ReachResult {
+        query::ReachResult {
+            src: 3,
+            depth: 2,
+            visited_vertices: 10,
+            traversed_edges: 40,
+            dst,
+        }
+    }
+
+    #[test]
+    fn query_bodies_are_byte_pinned() {
+        let span = pinned_span(33);
+        let spans = r#""spans":{"parse_ns":11,"queue_ns":22,"execute_ns":33,"session":1}"#;
+        let reached = query::VertexInfo {
+            vertex: 5,
+            depth: Some(1),
+            parent: Some(3),
+        };
+        let unreached = query::VertexInfo {
+            vertex: 9,
+            depth: None,
+            parent: None,
+        };
+
+        let reach = QueryOutcome::Reach(pinned_reach(None));
+        assert_eq!(
+            rendered(|b| render_outcome(b, 7, "req-7", &reach, &span)),
+            format!(
+                r#"{{"id":7,"trace_id":"req-7","src":3,"depth":2,"visited_vertices":10,"traversed_edges":40,"dst":null,{spans}}}"#
+            )
+        );
+        let reach_dst = QueryOutcome::Reach(pinned_reach(Some(reached)));
+        assert_eq!(
+            rendered(|b| render_outcome(b, 8, "t.1", &reach_dst, &span)),
+            format!(
+                r#"{{"id":8,"trace_id":"t.1","src":3,"depth":2,"visited_vertices":10,"traversed_edges":40,"dst":{{"vertex":5,"depth":1,"parent":3}},{spans}}}"#
+            )
+        );
+        let path = QueryOutcome::Path(query::PathResult {
+            src: 3,
+            dst: 5,
+            path: vec![3, 4, 5],
+        });
+        assert_eq!(
+            rendered(|b| render_outcome(b, 9, "req-9", &path, &span)),
+            format!(
+                r#"{{"id":9,"trace_id":"req-9","src":3,"dst":5,"reached":true,"path":[3,4,5],{spans}}}"#
+            )
+        );
+        let no_path = QueryOutcome::Path(query::PathResult {
+            src: 3,
+            dst: 9,
+            path: Vec::new(),
+        });
+        assert_eq!(
+            rendered(|b| render_outcome(b, 10, "req-10", &no_path, &span)),
+            format!(
+                r#"{{"id":10,"trace_id":"req-10","src":3,"dst":9,"reached":false,"path":[],{spans}}}"#
+            )
+        );
+        let batch = QueryOutcome::Batch(vec![pinned_reach(None), pinned_reach(Some(unreached))]);
+        assert_eq!(
+            rendered(|b| render_outcome(b, 11, "b-1", &batch, &span)),
+            format!(
+                r#"{{"id":11,"trace_id":"b-1","results":[{{"src":3,"depth":2,"visited_vertices":10,"traversed_edges":40,"dst":null}},{{"src":3,"depth":2,"visited_vertices":10,"traversed_edges":40,"dst":{{"vertex":9,"depth":null,"parent":null}}}}],{spans}}}"#
+            )
+        );
+    }
+
+    #[test]
+    fn deadline_body_is_byte_pinned() {
+        assert_eq!(
+            rendered(|b| render_deadline(b, 12, "doomed", &pinned_span(0))),
+            r#"{"error":"deadline expired while queued; request dropped without executing","id":12,"trace_id":"doomed","spans":{"parse_ns":11,"queue_ns":22,"execute_ns":0,"session":1}}"#
+        );
+    }
+
+    #[test]
+    fn float_and_string_tokens_are_pinned() {
+        assert_eq!(f64_token(60.0), "60.0");
+        assert_eq!(f64_token(0.0), "0.0");
+        assert_eq!(f64_token(0.40001676399999997), "0.40001676399999997");
+        assert_eq!(f64_token(2.5e-7), "0.00000025");
+        assert_eq!(f64_token(f64::NAN), "null");
+        assert_eq!(f64_token(f64::INFINITY), "null");
+        assert_eq!(f64_token(f64::NEG_INFINITY), "null");
+
+        assert_eq!(str_token("plain"), r#""plain""#);
+        assert_eq!(str_token("héllo"), r#""héllo""#);
+        assert_eq!(str_token("a\"b"), r#""a\"b""#);
+        assert_eq!(str_token("back\\slash"), r#""back\\slash""#);
+        assert_eq!(str_token("tab\there"), r#""tab\there""#);
+        assert_eq!(str_token("cr\rlf\n"), r#""cr\rlf\n""#);
+        assert_eq!(str_token("GE\x01T"), r#""GE\u0001T""#);
     }
 }
