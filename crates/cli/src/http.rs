@@ -151,7 +151,7 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
 
 /// Writes one complete response and flushes. Errors are swallowed: the
 /// peer hanging up mid-response is its problem, not the server's.
-pub fn write_response(stream: &mut TcpStream, status: &str, ctype: &str, body: &[u8]) {
+pub fn write_response(stream: &mut TcpStream, status: u16, ctype: &str, body: &[u8]) {
     write_response_with_headers(stream, status, ctype, &[], body);
 }
 
@@ -160,7 +160,7 @@ pub fn write_response(stream: &mut TcpStream, status: &str, ctype: &str, body: &
 /// text; this layer does no escaping.
 pub fn write_response_with_headers(
     stream: &mut TcpStream,
-    status: &str,
+    status: u16,
     ctype: &str,
     extra: &[(&str, &str)],
     body: &[u8],
@@ -168,42 +168,26 @@ pub fn write_response_with_headers(
     let extra: String = extra.iter().map(|(k, v)| format!("{k}: {v}\r\n")).collect();
     let _ = write!(
         stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n",
+        reason(status),
         body.len()
     );
     let _ = stream.write_all(body);
     let _ = stream.flush();
 }
 
-/// JSON response.
-pub fn write_json(stream: &mut TcpStream, status: &str, body: &str) {
-    write_response(stream, status, "application/json", body.as_bytes());
-}
-
-/// JSON error body `{"error": "..."}` with the given status.
-pub fn write_json_error(stream: &mut TcpStream, status: &str, message: &str) {
-    write_json_error_with_headers(stream, status, message, &[]);
-}
-
-/// [`write_json_error`] with extra response headers: the 503 shed path
-/// attaches `Retry-After` computed from the windowed drain rate.
-pub fn write_json_error_with_headers(
-    stream: &mut TcpStream,
-    status: &str,
-    message: &str,
-    extra: &[(&str, &str)],
-) {
-    let escaped = message
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n");
-    write_response_with_headers(
-        stream,
-        status,
-        "application/json",
-        extra,
-        format!("{{\"error\":\"{escaped}\"}}").as_bytes(),
-    );
+/// The reason phrase of every status the server answers with.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        422 => "Unprocessable Entity",
+        503 => "Service Unavailable",
+        504 => "Gateway Timeout",
+        _ => "",
+    }
 }
 
 /// A client-side response.
@@ -348,7 +332,7 @@ mod tests {
             assert!(req.header("host").is_some());
             assert_eq!(req.header("deadline-ms"), None);
             assert_eq!(req.body, b"{\"sources\":[1,2]}");
-            write_json(&mut s, "200 OK", "{\"ok\":true}");
+            write_response(&mut s, 200, "application/json", b"{\"ok\":true}");
         });
         let resp = post_json(
             &addr.to_string(),
@@ -363,21 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn error_bodies_escape_quotes() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let _ = read_request(&mut s);
-            write_json_error(&mut s, "400 Bad Request", "bad \"src\" value");
-        });
-        let resp = get(&addr.to_string(), "/query", Duration::from_secs(2)).unwrap();
-        server.join().unwrap();
-        assert_eq!(resp.status, 400);
-        assert_eq!(resp.body, "{\"error\":\"bad \\\"src\\\" value\"}");
-    }
-
-    #[test]
     fn client_extra_headers_reach_the_server() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -385,7 +354,7 @@ mod tests {
             let (mut s, _) = listener.accept().unwrap();
             let req = read_request(&mut s).unwrap();
             assert_eq!(req.header("deadline-ms"), Some("25"));
-            write_json(&mut s, "200 OK", "{}");
+            write_response(&mut s, 200, "application/json", b"{}");
         });
         let resp = get_with_headers(
             &addr.to_string(),
@@ -405,11 +374,12 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
             let _ = read_request(&mut s);
-            write_json_error_with_headers(
+            write_response_with_headers(
                 &mut s,
-                "503 Service Unavailable",
-                "shed",
+                503,
+                "application/json",
                 &[("Retry-After", "3")],
+                b"{\"error\":\"shed\"}",
             );
         });
         let resp = get(&addr.to_string(), "/query", Duration::from_secs(2)).unwrap();

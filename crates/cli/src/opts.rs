@@ -43,12 +43,17 @@ impl Opts {
 
     /// Parsed numeric value with default.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a number, got {v:?}")),
-        }
+        Ok(self.opt_num(key)?.unwrap_or(default))
+    }
+
+    /// Parsed numeric value; `None` when the flag is absent.
+    pub fn opt_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key} expects a number, got {v:?}"))
+            })
+            .transpose()
     }
 
     /// Required numeric value.

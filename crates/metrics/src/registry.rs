@@ -325,6 +325,36 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
+/// Quantile (`q` in `0.0..=1.0`) of `count` observations summing to
+/// `sum`: walks the buckets to rank `q * count` and interpolates inside
+/// the landing bucket, from one past the previous bound to its own bound
+/// clamped to `sum`. 0 when empty. Snapshots and rollups share this walk.
+pub fn bucket_quantile(buckets: &[u64], count: u64, sum: u64, q: f64) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    let target = q.clamp(0.0, 1.0) * count as f64;
+    let mut cum = 0u64;
+    for (i, &c) in buckets.iter().enumerate() {
+        if c == 0 {
+            continue;
+        }
+        let next = cum + c;
+        if next as f64 >= target {
+            let lower = if i == 0 {
+                0
+            } else {
+                bucket_upper_bound(i - 1) + 1
+            };
+            let upper = bucket_upper_bound(i).min(sum);
+            let frac = (target - cum as f64) / c as f64;
+            return lower as f64 + frac * upper.saturating_sub(lower) as f64;
+        }
+        cum = next;
+    }
+    bucket_upper_bound(HIST_BUCKETS - 1) as f64
+}
+
 /// One slot's worth of raw metric storage. Fixed-size arrays only: a
 /// writer never allocates.
 pub(crate) struct SlotData {

@@ -26,7 +26,7 @@
 //! The ring is sized by the serve layer to cover the slow window; see
 //! DESIGN.md §16 for the sizing and vocabulary rationale.
 
-use crate::registry::{bucket_upper_bound, Counter, Hist, HIST_BUCKETS, NUM_COUNTERS, NUM_HISTS};
+use crate::registry::{bucket_quantile, Counter, Hist, HIST_BUCKETS, NUM_COUNTERS, NUM_HISTS};
 use crate::snapshot::MetricsSnapshot;
 
 /// Hard cap on ring capacity; keeps a misconfigured interval/window pair
@@ -127,36 +127,9 @@ impl RollupFrame {
     /// Windowed quantile of `h` over this single frame (ns-valued hists
     /// return ns).
     pub fn quantile(&self, h: Hist, q: f64) -> f64 {
-        bucket_quantile(&self.buckets[h as usize], self.hist_count[h as usize], q)
+        let h = h as usize;
+        bucket_quantile(&self.buckets[h], self.hist_count[h], self.hist_sum[h], q)
     }
-}
-
-/// Quantile by bucket walk with linear interpolation inside the winning
-/// power-of-two bucket. Shared by frames and windows.
-fn bucket_quantile(buckets: &[u64; HIST_BUCKETS], count: u64, q: f64) -> f64 {
-    if count == 0 {
-        return 0.0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &b) in buckets.iter().enumerate() {
-        if b == 0 {
-            continue;
-        }
-        let next = seen + b;
-        if rank <= next {
-            let upper = bucket_upper_bound(i) as f64;
-            let lower = if i == 0 {
-                0.0
-            } else {
-                bucket_upper_bound(i - 1) as f64
-            };
-            let frac = (rank - seen) as f64 / b as f64;
-            return lower + (upper - lower) * frac;
-        }
-        seen = next;
-    }
-    bucket_upper_bound(HIST_BUCKETS - 1) as f64
 }
 
 /// Aggregate view over the last *k* frames of a ring: windowed counts,
@@ -208,10 +181,11 @@ impl WindowStats {
         self.hist_sum[h as usize]
     }
 
-    /// Windowed quantile of `h` (same bucket walk as the since-boot
-    /// snapshot, applied to this window's bucket deltas only).
+    /// Windowed quantile of `h`: the since-boot snapshot's bucket walk
+    /// ([`bucket_quantile`]) over this window's bucket deltas only.
     pub fn quantile(&self, h: Hist, q: f64) -> f64 {
-        bucket_quantile(&self.buckets[h as usize], self.hist_count[h as usize], q)
+        let h = h as usize;
+        bucket_quantile(&self.buckets[h], self.hist_count[h], self.hist_sum[h], q)
     }
 
     /// Answered requests per second over the window.
@@ -669,16 +643,36 @@ mod tests {
     #[test]
     fn bucket_quantile_walks_and_interpolates() {
         let mut buckets = [0u64; HIST_BUCKETS];
-        // 10 values in bucket 7 (64..=127).
+        // 10 values of 100 in bucket 7 (64..=127).
         buckets[7] = 10;
-        let p50 = bucket_quantile(&buckets, 10, 0.5);
+        let p50 = bucket_quantile(&buckets, 10, 1000, 0.5);
         assert!(p50 > 63.0 && p50 <= 127.0);
-        assert_eq!(bucket_quantile(&buckets, 0, 0.5), 0.0);
+        // Rank 9.9 of 10 interpolates 99% of the way from 64 to 127.
+        let p99 = bucket_quantile(&buckets, 10, 1000, 0.99);
+        assert!((p99 - 126.37).abs() < 1e-9, "{p99}");
+        assert_eq!(bucket_quantile(&buckets, 0, 0, 0.5), 0.0);
         // Quantiles are monotone in q.
         buckets[12] = 10;
-        let lo = bucket_quantile(&buckets, 20, 0.25);
-        let hi = bucket_quantile(&buckets, 20, 0.99);
+        let lo = bucket_quantile(&buckets, 20, 1000 + 10 * 3000, 0.25);
+        let hi = bucket_quantile(&buckets, 20, 1000 + 10 * 3000, 0.99);
         assert!(lo <= hi);
+    }
+
+    #[test]
+    fn one_tick_window_quantiles_equal_the_snapshot() {
+        let observations = [90, 100, 700, 900, 5_000, 70_000, 70_001, 1 << 20];
+        let snap = snap_with(0, &observations);
+        let mut ring = RollupRing::new(4);
+        ring.tick(&snap_with(0, &[]), 1.0, 0, 0);
+        ring.tick(&snap, 2.0, 0, 0);
+        let window = ring.window(1);
+        let frame = ring.frames_oldest_first().last().unwrap();
+        let since_boot = snap.histogram(Hist::ServeRequestNs);
+        for q in [0.5, 0.9, 0.99] {
+            let want = since_boot.quantile(q);
+            assert_eq!(window.quantile(Hist::ServeRequestNs, q), want, "q {q}");
+            assert_eq!(frame.quantile(Hist::ServeRequestNs, q), want, "q {q}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::registry::{
-    bucket_upper_bound, Counter, Hist, SlotData, HIST_BUCKETS, NUM_COUNTERS, NUM_HISTS,
+    bucket_quantile, Counter, Hist, SlotData, HIST_BUCKETS, NUM_COUNTERS, NUM_HISTS,
 };
 use bfs_platform::PerThreadSlots;
 
@@ -43,37 +43,10 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Bucket-interpolated quantile (`q` in `0.0..=1.0`): walks the
-    /// cumulative counts to the target rank and interpolates linearly
-    /// inside the landing bucket. 0 when empty.
+    /// Bucket-interpolated quantile (`q` in `0.0..=1.0`); see
+    /// [`bucket_quantile`]. 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = cum + c;
-            if next as f64 >= target {
-                let lower = if i == 0 {
-                    0
-                } else {
-                    bucket_upper_bound(i - 1) + 1
-                };
-                let upper = bucket_upper_bound(i).min(self.sum);
-                let frac = if c == 0 {
-                    0.0
-                } else {
-                    (target - cum as f64) / c as f64
-                };
-                return lower as f64 + frac * (upper.saturating_sub(lower)) as f64;
-            }
-            cum = next;
-        }
-        bucket_upper_bound(HIST_BUCKETS - 1) as f64
+        bucket_quantile(&self.buckets, self.count, self.sum, q)
     }
 
     /// Mean observed value; 0 when empty.

@@ -111,7 +111,24 @@ assert "hw" in d and "metrics" in d, sorted(d)
 assert isinstance(d["hw_available"], bool), d
 if not d["hw_available"]:
     assert d["hw_kind"] and d["hw_reason"], d
+# queries is read from the same merged snapshot as metrics.
+counters = {c["name"]: c["value"] for c in d["metrics"]["counters"]}
+assert d["queries"] == counters["queries"], (d["queries"], counters["queries"])
 '
+# A control byte in the request method is echoed back escaped: the 405
+# body stays strict JSON.
+python3 - "$ADDR" <<'EOF'
+import json, socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+s = socket.create_connection((host, int(port)))
+s.sendall(b"GE\x01T /query HTTP/1.1\r\nHost: x\r\n\r\n")
+resp = b""
+while chunk := s.recv(4096):
+    resp += chunk
+head, _, body = resp.partition(b"\r\n\r\n")
+assert head.split()[1] == b"405", head
+assert json.loads(body)["error"] == "GE\x01T not allowed", body
+EOF
 
 echo "==> loadgen smoke (open-loop load against the live server)"
 LOAD_OUT="$(mktemp /tmp/check_load_XXXXXX.json)"
