@@ -2135,6 +2135,42 @@ mod tests {
         assert!(steps.iter().any(|s| s.scattered.unwrap() > 0));
     }
 
+    /// Phase I puts each neighbor in the bin its id maps to. Phase II drains
+    /// every bin, so a misplaced neighbor would still give correct depths;
+    /// only the per-bin occupancy shows where it landed.
+    #[test]
+    fn phase_one_bins_each_neighbor_by_its_id() {
+        use bfs_trace::RingSink;
+        let g = uniform_random(1 << 10, 6, &mut rng_from_seed(8));
+        let opts = BfsOptions {
+            encoding: PbvEncoding::Pairs,
+            n_vis_override: Some(8),
+            ..Default::default()
+        };
+        let engine = BfsEngine::new(&g, Topology::synthetic(1, 1), opts);
+        let geometry = *engine.geometry();
+        assert!(geometry.n_bins >= 4, "{geometry:?}");
+        let ring = RingSink::new(4096);
+        engine.run_traced(0, &ring);
+        let depths = serial_bfs(&g, 0).depths;
+        let mut steps = 0;
+        for e in ring.snapshot() {
+            let TraceEvent::Step(s) = e else { continue };
+            steps += 1;
+            // One lane races with nobody, so the step's frontier is exactly
+            // the previous level; each Pairs entry is two words.
+            let mut want = vec![0u64; geometry.n_bins];
+            for u in (0..g.num_vertices() as VertexId).filter(|&u| depths[u as usize] + 1 == s.step)
+            {
+                for &v in g.neighbors(u) {
+                    want[geometry.bin_of(v)] += 2;
+                }
+            }
+            assert_eq!(s.bin_occupancy, want, "step {}", s.step);
+        }
+        assert!(steps >= 2, "only {steps} steps traced");
+    }
+
     /// Plans `offsets` for `sockets × lanes` under `scheduling`.
     fn plan(
         offsets: &[u64],
