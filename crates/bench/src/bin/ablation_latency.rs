@@ -3,11 +3,9 @@
 //! 1. **Rearrangement** — the paper gains an average 1.15x from reordering
 //!    `BV_t^N`; measured here as simulated page-walk traffic and cycles with
 //!    the pass on/off.
-//! 2. **SIMD binning** — "1.3–2X instruction reduction"; measured as the
-//!    engine's instruction-proxy counters for the scalar vs SSE kernels.
-//! 3. **Prefetch distance sweep** — wall-clock engine time at distances
+//! 2. **Prefetch distance sweep** — wall-clock engine time at distances
 //!    0 / 4 / 16 / 64.
-//! 4. **PBV encoding** — markers vs (parent, vertex) pairs: simulated bin
+//! 3. **PBV encoding** — markers vs (parent, vertex) pairs: simulated bin
 //!    traffic for a low-degree and a high-bin-count configuration
 //!    (§III-C(4) footnote: pairs win when `N_PBV ≥ ρ`).
 
@@ -17,7 +15,6 @@ use bfs_bench::HarnessArgs;
 use bfs_core::engine::BfsOptions;
 use bfs_core::pbv::PbvEncoding;
 use bfs_core::sim::SimBfsConfig;
-use bfs_core::simd::BinKernel;
 use bfs_graph::gen::uniform::uniform_random;
 use bfs_graph::rng::stream_rng;
 use bfs_memsim::{Channel, Phase};
@@ -57,36 +54,8 @@ fn main() {
     println!("{t}");
     println!("paper: rearrangement gains an average of 1.15x\n");
 
-    // 2. SIMD binning instruction proxy.
-    println!("Ablation 2 — SIMD vs scalar binning (engine instruction proxy)\n");
-    let mut t = Table::new(["kernel", "binning ops", "reduction"]);
-    let mut ops = Vec::new();
-    for kernel in [BinKernel::Scalar, BinKernel::Simd] {
-        let engine = bfs_core::BfsEngine::new(
-            &g,
-            Topology::synthetic(2, 2),
-            BfsOptions {
-                bin_kernel: kernel,
-                ..Default::default()
-            },
-        );
-        let out = engine.run(src);
-        ops.push(out.stats.binning_ops);
-        t.row([
-            format!("{kernel:?}"),
-            out.stats.binning_ops.to_string(),
-            if ops.len() == 2 {
-                fmt_f(ops[0] as f64 / ops[1] as f64)
-            } else {
-                "1.000".into()
-            },
-        ]);
-    }
-    println!("{t}");
-    println!("paper: SIMD binning reduces instructions 1.3-2x\n");
-
-    // 3. Prefetch distance sweep (wall clock).
-    println!("Ablation 3 — prefetch distance (wall clock, host topology)\n");
+    // 2. Prefetch distance sweep (wall clock).
+    println!("Ablation 2 — prefetch distance (wall clock, host topology)\n");
     let mut t = Table::new(["PREF_DIST", "MTEPS"]);
     for dist in [0usize, 4, 16, 64] {
         let (mteps, _) = run_engine_wall(
@@ -105,8 +74,8 @@ fn main() {
         "(prefetch effects require a real memory hierarchy; on small hosts this is near-neutral)\n"
     );
 
-    // 4. Encoding: markers vs pairs at low degree with many bins.
-    println!("Ablation 4 — PBV encoding, degree 2 graph, N_VIS forced to 8 (N_PBV = 16 >= rho)\n");
+    // 3. Encoding: markers vs pairs at low degree with many bins.
+    println!("Ablation 3 — PBV encoding, degree 2 graph, N_VIS forced to 8 (N_PBV = 16 >= rho)\n");
     let sparse = uniform_random(n, 2, &mut stream_rng(args.seed, 2));
     let mut t = Table::new(["encoding", "Phase-I DDR B/edge", "cyc/edge"]);
     for (label, enc) in [

@@ -39,7 +39,6 @@ use crate::dp::{DepthParent, INF_DEPTH};
 use crate::frontier::rearrange_frontier;
 use crate::pbv::{decode_window, BinGeometry, BinSet, PbvEncoding, ResolvedEncoding};
 use crate::prefetch::{prefetch_slice_element, DEFAULT_PREFETCH_DISTANCE};
-use crate::simd::{bin_indices, BinKernel};
 use crate::stats::TraversalStats;
 use crate::vis::{Vis, VisScheme};
 use crate::VertexId;
@@ -73,8 +72,6 @@ pub struct BfsOptions {
     pub rearrange: bool,
     /// Adjacency prefetch distance in frontier entries (0 disables).
     pub prefetch_distance: usize,
-    /// Bin-index kernel.
-    pub bin_kernel: BinKernel,
     /// PBV stream encoding.
     pub encoding: PbvEncoding,
     /// Per-level direction selection (top-down vs bottom-up). The default
@@ -106,7 +103,6 @@ impl Default for BfsOptions {
             n_vis_override: None,
             rearrange: true,
             prefetch_distance: DEFAULT_PREFETCH_DISTANCE,
-            bin_kernel: BinKernel::Simd,
             encoding: PbvEncoding::Auto,
             direction: DirectionPolicy::ForcedTopDown,
             hw_counters: false,
@@ -229,7 +225,6 @@ pub struct BfsOutput {
 /// on one cell).
 struct Counters {
     enqueued: u64,
-    binning_ops: u64,
     edge_checks: u64,
     /// Neighbors scattered (binned or directly expanded) on top-down levels.
     scattered: u64,
@@ -285,7 +280,7 @@ pub(crate) struct RunState {
     pub(crate) bv_cur: ThreadOwned<Vec<VertexId>>,
     pub(crate) bv_next: ThreadOwned<Vec<VertexId>>,
     pub(crate) bins: ThreadOwned<BinSet>,
-    pub(crate) scratch: ThreadOwned<(Vec<VertexId>, Vec<u32>)>,
+    pub(crate) scratch: ThreadOwned<Vec<VertexId>>,
     step_scratch: ThreadOwned<StepScratch>,
     /// Dense frontier bits for bottom-up levels, two halves (zero-sized
     /// for forced-top-down engines). A bottom-up level reads one half and
@@ -344,7 +339,7 @@ impl RunState {
             bins: ThreadOwned::from_fn(nthreads, |_| {
                 BinSet::new(engine.geometry.n_bins, engine.encoding)
             }),
-            scratch: ThreadOwned::from_fn(nthreads, |_| (Vec::new(), Vec::new())),
+            scratch: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
             step_scratch: ThreadOwned::from_fn(nthreads, |_| StepScratch::default()),
             frontier_bitmap: FrontierBitmap::new_backed(
                 if engine.options.direction.may_go_bottom_up() {
@@ -384,7 +379,7 @@ impl RunState {
             words += self.bv_cur.read(t, Vec::capacity);
             words += self.bv_next.read(t, Vec::capacity);
             words += self.bins.read(t, BinSet::capacity_words);
-            words += self.scratch.read(t, |(a, b)| a.capacity() + b.capacity());
+            words += self.scratch.read(t, Vec::capacity);
             words += self.touched.read(t, Vec::capacity);
             words += self.unvisited.read(t, Vec::capacity);
             words += self.unvisited_next.read(t, Vec::capacity);
@@ -405,9 +400,8 @@ impl RunState {
         for b in self.bins.iter_mut() {
             b.shrink();
         }
-        for (a, b) in self.scratch.iter_mut() {
-            *a = Vec::new();
-            *b = Vec::new();
+        for s in self.scratch.iter_mut() {
+            *s = Vec::new();
         }
         for t in self.touched.iter_mut() {
             *t = Vec::new();
@@ -561,13 +555,6 @@ impl<'g> BfsEngine<'g> {
         &self.hugepages
     }
 
-    /// Whether the traversal arenas this engine builds actually land in
-    /// hugepage-backed memory (sufficiently large ones, when the probe
-    /// succeeded).
-    pub fn hugepages_active(&self) -> bool {
-        self.hugepages.active()
-    }
-
     /// Merged view of the always-on metrics registry. `&mut self` proves no
     /// traversal is in flight, so the merge needs no synchronization.
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
@@ -697,7 +684,6 @@ impl<'g> BfsEngine<'g> {
             };
             let mut c = Counters {
                 enqueued: 0,
-                binning_ops: 0,
                 edge_checks: 0,
                 scattered: 0,
                 bin_entries: 0,
@@ -780,14 +766,7 @@ impl<'g> BfsEngine<'g> {
                             );
                         }
                         _ => {
-                            self.phase_one(
-                                tid,
-                                nthreads,
-                                &state.bv_cur,
-                                &state.bins,
-                                &state.scratch,
-                                &mut c,
-                            );
+                            self.phase_one(tid, nthreads, &state.bv_cur, &state.bins, &mut c);
                         }
                     },
                 }
@@ -847,7 +826,7 @@ impl<'g> BfsEngine<'g> {
                 // no-op pass.
                 if self.options.rearrange && dir == Direction::TopDown {
                     let pr = Instant::now();
-                    state.scratch.with_mut(tid, |(tmp, _)| {
+                    state.scratch.with_mut(tid, |tmp| {
                         state.bv_next.with_mut(tid, |f| {
                             rearrange_frontier(
                                 f,
@@ -997,7 +976,6 @@ impl<'g> BfsEngine<'g> {
             mw.add(Metric::BinEntries, c.bin_entries);
             mw.add(Metric::EdgeChecks, c.edge_checks);
             mw.add(Metric::Enqueued, c.enqueued);
-            mw.add(Metric::BinningOps, c.binning_ops);
             // Hardware counters: 16 more adds when sampling ran, through
             // the same unsynchronized per-slot path.
             if let Some(h) = &hw {
@@ -1041,7 +1019,6 @@ impl<'g> BfsEngine<'g> {
                 .max()
                 .unwrap_or_default(),
             total_time,
-            binning_ops: counters.iter().map(|c| c.binning_ops).sum(),
         };
 
         // Driver-scope metrics: recorded once per query from the finished
@@ -1147,7 +1124,6 @@ impl<'g> BfsEngine<'g> {
         nthreads: usize,
         bv_cur: &ThreadOwned<Vec<VertexId>>,
         bins: &ThreadOwned<BinSet>,
-        scratch: &ThreadOwned<(Vec<VertexId>, Vec<u32>)>,
         c: &mut Counters,
     ) {
         // Deterministic division: every thread derives the same plan from
@@ -1170,40 +1146,30 @@ impl<'g> BfsEngine<'g> {
         let pref = self.options.prefetch_distance;
         let offsets = self.graph.offsets();
         let raw = self.graph.raw_neighbors();
-        // The bin-index buffer lives in the thread's scratch cell so its
-        // allocation is reused across steps instead of regrown each step.
-        scratch.with_mut(tid, |(_, idx_buf)| {
-            bins.with_mut(tid, |my_bins| {
-                my_bins.clear();
-                for seg in &my_segments {
-                    bv_cur.read(seg.owner, |frontier| {
-                        let window = &frontier[seg.range.clone()];
-                        for (k, &u) in window.iter().enumerate() {
-                            if pref > 0 {
-                                if let Some(&next_u) = window.get(k + pref) {
-                                    // Prefetch the adjacency pointer and the
-                                    // first neighbor line (§III-C(3)).
-                                    prefetch_slice_element(offsets, next_u as usize);
-                                    let off = offsets[next_u as usize] as usize;
-                                    prefetch_slice_element(raw, off);
-                                }
-                            }
-                            let neighbors = self.graph.neighbors(u);
-                            c.scattered += neighbors.len() as u64;
-                            my_bins.begin_vertex(u);
-                            c.binning_ops += bin_indices(
-                                self.options.bin_kernel,
-                                neighbors,
-                                self.geometry.bin_shift,
-                                idx_buf,
-                            );
-                            for (&v, &b) in neighbors.iter().zip(idx_buf.iter()) {
-                                my_bins.push_neighbor(b as usize, v);
+        bins.with_mut(tid, |my_bins| {
+            my_bins.clear();
+            for seg in &my_segments {
+                bv_cur.read(seg.owner, |frontier| {
+                    let window = &frontier[seg.range.clone()];
+                    for (k, &u) in window.iter().enumerate() {
+                        if pref > 0 {
+                            if let Some(&next_u) = window.get(k + pref) {
+                                // Prefetch the adjacency pointer and the
+                                // first neighbor line (§III-C(3)).
+                                prefetch_slice_element(offsets, next_u as usize);
+                                let off = offsets[next_u as usize] as usize;
+                                prefetch_slice_element(raw, off);
                             }
                         }
-                    });
-                }
-            });
+                        let neighbors = self.graph.neighbors(u);
+                        c.scattered += neighbors.len() as u64;
+                        my_bins.begin_vertex(u);
+                        for &v in neighbors {
+                            my_bins.push_neighbor(self.geometry.bin_of(v), v);
+                        }
+                    }
+                });
+            }
         });
     }
 
@@ -1697,7 +1663,7 @@ mod tests {
     }
 
     #[test]
-    fn no_rearrange_no_prefetch_scalar_kernel() {
+    fn no_rearrange_no_prefetch() {
         let g = uniform_random(800, 6, &mut rng_from_seed(5));
         check_against_serial(
             &g,
@@ -1706,7 +1672,6 @@ mod tests {
             BfsOptions {
                 rearrange: false,
                 prefetch_distance: 0,
-                bin_kernel: BinKernel::Scalar,
                 ..Default::default()
             },
         );

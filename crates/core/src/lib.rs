@@ -15,10 +15,9 @@
 //!   per-level top-down/bottom-up selection via Beamer-style α/β thresholds
 //!   and the dense frontier bitmap the bottom-up kernel probes.
 //! * [`pbv`] — Potential Boundary Vertex bins: geometry (`N_VIS`, `N_PBV`,
-//!   bin↔socket alignment), parent-marker and (parent, vertex) encodings
-//!   (§III-B3, §III-C(4), §III-C(6)).
-//! * [`simd`] — scalar and SSE bin-index kernels with instruction-proxy
-//!   counters (§III-C(4)).
+//!   bin↔socket alignment, a neighbor's bin as one shift of its id),
+//!   parent-marker and (parent, vertex) encodings (§III-B3, §III-C(4),
+//!   §III-C(6)).
 //! * [`balance`] — the load-balanced, locality-aware division of binned work
 //!   across sockets and threads: every socket gets an even share of vertices
 //!   as a few whole bins plus at most two partial bins (§III-B3(a)).
@@ -68,7 +67,6 @@ pub mod query;
 pub mod serial;
 pub mod session;
 pub mod sim;
-pub mod simd;
 pub mod stats;
 pub mod validate;
 pub mod vis;

@@ -51,8 +51,6 @@ pub struct TraversalStats {
     pub rearrange_time: Duration,
     /// Total wall time of the traversal.
     pub total_time: Duration,
-    /// Instruction-proxy count for the binning kernel (SIMD ablation).
-    pub binning_ops: u64,
 }
 
 impl TraversalStats {

@@ -24,7 +24,6 @@
 //! Vertex ids are `u32` throughout, as in the paper (4-byte frontier and bin
 //! entries are load-bearing constants in the §IV traffic model).
 
-pub mod algo;
 pub mod builder;
 pub mod csr;
 pub mod gen;

@@ -1,5 +1,5 @@
 //! Graph statistics used by the Table II reproduction and by experiment
-//! harnesses: degree distribution, reachable-set size, BFS depth ("Depth" in
+//! harnesses: degree summary, reachable-set size, BFS depth ("Depth" in
 //! Table II is the eccentricity of the chosen source), and the paper's
 //! model inputs |V′|, |E′| and ρ′.
 
@@ -174,58 +174,6 @@ pub fn random_roots(g: &CsrGraph, count: usize, seed: u64) -> Vec<VertexId> {
     roots
 }
 
-/// Lower-bounds the diameter by iterated double sweep: BFS from `source`,
-/// jump to the farthest vertex found, repeat `sweeps` times. Exact on trees;
-/// a tight lower bound in practice (used to sanity-check the Table II
-/// "Depth" column, which the paper defines as the worst-case eccentricity).
-pub fn approximate_diameter(g: &CsrGraph, source: VertexId, sweeps: u32) -> u32 {
-    let mut best = 0u32;
-    let mut cur = source;
-    for _ in 0..sweeps.max(1) {
-        let n = g.num_vertices();
-        let mut depth = vec![u32::MAX; n];
-        depth[cur as usize] = 0;
-        let mut frontier = vec![cur];
-        let mut next = Vec::new();
-        let mut d = 0u32;
-        let mut far = cur;
-        while !frontier.is_empty() {
-            next.clear();
-            for &u in &frontier {
-                for &v in g.neighbors(u) {
-                    if depth[v as usize] == u32::MAX {
-                        depth[v as usize] = d + 1;
-                        next.push(v);
-                        far = v;
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            d += 1;
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        best = best.max(d);
-        if far == cur {
-            break; // isolated or converged
-        }
-        cur = far;
-    }
-    best
-}
-
-/// Degree histogram: `result[d]` = number of vertices of degree `d`, up to
-/// `max_bucket`; the final bucket aggregates everything above.
-pub fn degree_histogram(g: &CsrGraph, max_bucket: usize) -> Vec<u64> {
-    let mut hist = vec![0u64; max_bucket + 1];
-    for v in 0..g.num_vertices() as VertexId {
-        let d = (g.degree(v) as usize).min(max_bucket);
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,14 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_histogram_buckets() {
-        let g = star(5);
-        let h = degree_histogram(&g, 3);
-        // center has degree 4 (clamped to bucket 3), leaves degree 1.
-        assert_eq!(h, vec![0, 4, 0, 1]);
-    }
-
-    #[test]
     fn nth_non_isolated_skips() {
         let g = two_cliques(2, 2);
         assert_eq!(nth_non_isolated(&g, 0), Some(0));
@@ -302,19 +242,6 @@ mod tests {
         let s = traversal_shape(&g, 4);
         assert_eq!(reached, s.visited_vertices);
         assert_eq!(hist.len() as u32 - 1, s.depth);
-    }
-
-    #[test]
-    fn double_sweep_diameter() {
-        use crate::gen::classic::{cycle, path, star};
-        // Path from the middle: one sweep underestimates, two find it.
-        let g = path(11);
-        assert_eq!(approximate_diameter(&g, 5, 1), 5);
-        assert_eq!(approximate_diameter(&g, 5, 2), 10);
-        // Star: diameter 2 regardless of start.
-        assert_eq!(approximate_diameter(&star(9), 3, 2), 2);
-        // Cycle of 9: eccentricity 4 everywhere.
-        assert_eq!(approximate_diameter(&cycle(9), 0, 3), 4);
     }
 
     #[test]

@@ -87,7 +87,6 @@ fn help(c: Counter) -> &'static str {
         Counter::BinEntries => "Entries decoded from PBV bins",
         Counter::EdgeChecks => "Bottom-up neighbor probes",
         Counter::Enqueued => "Successful depth claims (duplicates included)",
-        Counter::BinningOps => "SIMD bin-index kernel operations",
         Counter::Phase1HwCycles => "Hardware cycles in Phase I (0 when perf is unavailable)",
         Counter::Phase1HwInstructions => "Hardware instructions retired in Phase I",
         Counter::Phase1LlcMisses => "LLC load misses in Phase I",

@@ -70,8 +70,6 @@ pub enum Counter {
     EdgeChecks,
     /// Successful DP claims, duplicates included (thread scope).
     Enqueued,
-    /// SIMD bin-index kernel operations (thread scope).
-    BinningOps,
     /// Hardware CPU cycles retired during Phase I (thread scope; zero
     /// when perf counters are unavailable — see `bfs-perf`).
     Phase1HwCycles,
@@ -140,7 +138,7 @@ impl Counter {
     /// Additions are append-only so snapshots serialized by older builds
     /// keep their positional meaning. A removal shifts every later index,
     /// so read a snapshot from another build by counter name.
-    pub const ALL: [Counter; 44] = [
+    pub const ALL: [Counter; 43] = [
         Counter::Queries,
         Counter::QueryNs,
         Counter::Steps,
@@ -159,7 +157,6 @@ impl Counter {
         Counter::BinEntries,
         Counter::EdgeChecks,
         Counter::Enqueued,
-        Counter::BinningOps,
         Counter::Phase1HwCycles,
         Counter::Phase1HwInstructions,
         Counter::Phase1LlcMisses,
@@ -208,7 +205,6 @@ impl Counter {
             Counter::BinEntries => "bin_entries",
             Counter::EdgeChecks => "edge_checks",
             Counter::Enqueued => "enqueued",
-            Counter::BinningOps => "binning_ops",
             Counter::Phase1HwCycles => "phase1_hw_cycles",
             Counter::Phase1HwInstructions => "phase1_hw_instructions",
             Counter::Phase1LlcMisses => "phase1_llc_misses",

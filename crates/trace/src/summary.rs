@@ -259,7 +259,7 @@ mod tests {
                         value: 1,
                     },
                     MetricSample {
-                        name: "binning_ops".into(),
+                        name: "edge_checks".into(),
                         value: 0,
                     },
                     MetricSample {
@@ -291,7 +291,7 @@ mod tests {
         assert!(text.contains("counters (run)"), "{text}");
         assert!(text.contains("queries=1"), "{text}");
         assert!(text.contains("scattered_edges=42"), "{text}");
-        assert!(!text.contains("binning_ops"), "{text}");
+        assert!(!text.contains("edge_checks"), "{text}");
         // Histogram summaries: time-valued get unit formatting, counts
         // stay plain.
         assert!(text.contains("hist step_ns:"), "{text}");

@@ -20,6 +20,34 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 
+echo "==> validate smokes (memory-layout levers, bottom-up lane splits)"
+SMOKE_GRAPH="$(mktemp /tmp/check_smoke_XXXXXX.fbfs)"
+SMOKE_OUT="$(mktemp /tmp/check_smoke_XXXXXX.json)"
+SMOKE_TUNED="$(mktemp /tmp/check_smoke_XXXXXX.json)"
+trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_OUT" "$SMOKE_TUNED"' EXIT
+target/release/fastbfs gen --family rmat --scale 10 --edge-factor 8 --seed 42 -o "$SMOKE_GRAPH"
+# Memory-layout levers: --validate runs the serial oracle on the
+# PRE-relabel graph, so a pass proves the id-translation layer end to
+# end; the report must carry both levers' provenance.
+target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 4 --seed 7 --direction auto \
+    --relabel --hugepages --validate --json "$SMOKE_TUNED"
+grep -q '"relabel": true' "$SMOKE_TUNED" || {
+    echo "error: tuned report lacks relabel provenance" >&2; exit 1; }
+grep -q '"hugepages": "' "$SMOKE_TUNED" || {
+    echo "error: tuned report lacks hugepages provenance" >&2; exit 1; }
+# Every level bottom-up on 3 lanes of a relabeled graph: each level
+# reads the frontier bitmap half its predecessor wrote, and 3 lanes
+# split bitmap words and epilogue chunks unevenly; --validate checks
+# every answer against the serial oracle.
+target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bottom-up \
+    --threads 3 --relabel --hugepages --validate
+# The scale-10 graph reaches 807 of 1024 ids, so relabeling leaves a
+# degree-0 id suffix that the bottom-up scan plan skips; under static
+# scheduling on 2 sockets each socket's stripe is clipped to the live
+# prefix before its lanes split it.
+target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bottom-up \
+    --sockets 2 --threads 4 --scheduling static --relabel --validate
+
 echo "==> bench-compare smoke (regression gate against committed baseline)"
 BASELINE="$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)"
 if [ -n "$BASELINE" ]; then
@@ -27,41 +55,16 @@ if [ -n "$BASELINE" ]; then
     # wide tolerances: this smokes the report schema + comparison plumbing,
     # not this host's absolute performance (hence --allow-mismatch: the
     # committed baseline was recorded at full scale on another machine).
-    SMOKE_GRAPH="$(mktemp /tmp/check_smoke_XXXXXX.fbfs)"
-    SMOKE_OUT="$(mktemp /tmp/check_smoke_XXXXXX.json)"
-    SMOKE_TUNED="$(mktemp /tmp/check_smoke_XXXXXX.json)"
-    trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_OUT" "$SMOKE_TUNED"' EXIT
-    target/release/fastbfs gen --family rmat --scale 10 --edge-factor 8 --seed 42 -o "$SMOKE_GRAPH"
     target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 4 --seed 7 --direction auto --json "$SMOKE_OUT"
     target/release/fastbfs bench-compare "$SMOKE_OUT" "$SMOKE_OUT" --quiet
     target/release/fastbfs bench-compare "$BASELINE" "$SMOKE_OUT" --allow-mismatch \
         --max-mteps-drop 0.99 --max-latency-rise 100 --max-direction-drift 1.0 \
         --max-qps-drop 0.99
-    # Memory-layout levers: --validate runs the serial oracle on the
-    # PRE-relabel graph, so a pass proves the id-translation layer end to
-    # end; the gate then confirms the both-flags report still satisfies
-    # the comparison plumbing against the committed baseline.
-    target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 4 --seed 7 --direction auto \
-        --relabel --hugepages --validate --json "$SMOKE_TUNED"
-    grep -q '"relabel": true' "$SMOKE_TUNED" || {
-        echo "error: tuned report lacks relabel provenance" >&2; exit 1; }
-    grep -q '"hugepages": "' "$SMOKE_TUNED" || {
-        echo "error: tuned report lacks hugepages provenance" >&2; exit 1; }
+    # The both-levers report still satisfies the comparison plumbing
+    # against the committed baseline.
     target/release/fastbfs bench-compare "$BASELINE" "$SMOKE_TUNED" --allow-mismatch \
         --max-mteps-drop 0.99 --max-latency-rise 100 --max-direction-drift 1.0 \
         --max-qps-drop 0.99
-    # Every level bottom-up on 3 lanes of a relabeled graph: each level
-    # reads the frontier bitmap half its predecessor wrote, and 3 lanes
-    # split bitmap words and epilogue chunks unevenly; --validate checks
-    # every answer against the serial oracle.
-    target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bottom-up \
-        --threads 3 --relabel --hugepages --validate
-    # The scale-10 graph reaches 807 of 1024 ids, so relabeling leaves a
-    # degree-0 id suffix that the bottom-up scan plan skips; under static
-    # scheduling on 2 sockets each socket's stripe is clipped to the live
-    # prefix before its lanes split it.
-    target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bottom-up \
-        --sockets 2 --threads 4 --scheduling static --relabel --validate
 else
     echo "    (no BENCH_*.json baseline committed; skipping)"
 fi
@@ -70,7 +73,7 @@ echo "==> serve smoke (live Prometheus exporter)"
 SERVE_GRAPH="$(mktemp /tmp/check_serve_XXXXXX.fbfs)"
 ADDR_FILE="$(mktemp /tmp/check_serve_XXXXXX.addr)"
 SERVE_PID=""
-# Replaces (and extends) any trap the bench-compare smoke installed.
+# Replaces (and extends) the trap the validate smokes installed.
 trap 'rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
 target/release/fastbfs gen --family rmat --scale 10 --edge-factor 8 --seed 42 -o "$SERVE_GRAPH"
 : > "$ADDR_FILE"

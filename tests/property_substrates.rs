@@ -6,7 +6,6 @@
 use bfs_core::balance::{alpha, divide_even, divide_static, socket_shares, Stream};
 use bfs_core::frontier::{histogram_bins, rearrange_frontier};
 use bfs_core::pbv::{decode_window, BinGeometry, BinSet, ResolvedEncoding};
-use bfs_core::simd::{bin_indices, BinKernel};
 use bfs_graph::builder::{BuildOptions, GraphBuilder};
 use bfs_graph::gen::uniform::uniform_random_directed;
 use bfs_graph::rng::rng_from_seed;
@@ -192,19 +191,6 @@ proptest! {
         decode_window(bs.bin(0), 0, cut, enc, |p, v| got.push((p, v)));
         decode_window(bs.bin(0), cut, len, enc, |p, v| got.push((p, v)));
         prop_assert_eq!(got, expected);
-    }
-
-    /// SIMD and scalar bin kernels are bit-identical for any input.
-    #[test]
-    fn simd_kernel_equals_scalar(
-        neighbors in proptest::collection::vec(any::<u32>().prop_map(|v| v & 0x7FFF_FFFF), 0..300),
-        shift in 0u32..32,
-    ) {
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        bin_indices(BinKernel::Scalar, &neighbors, shift, &mut a);
-        bin_indices(BinKernel::Simd, &neighbors, shift, &mut b);
-        prop_assert_eq!(a, b);
     }
 
     /// Graph builder: symmetrize + dedup + no-self-loops always yields a

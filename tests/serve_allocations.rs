@@ -101,7 +101,7 @@ fn serve_one(
             let _ = write!(buf, ",\"dst\":null");
         }
     }
-    let _ = write!(buf, ",\"spans\":{{\"session\":0,\"wave\":1}}}}");
+    let _ = write!(buf, ",\"spans\":{{\"session\":0}}}}");
 }
 
 #[test]
@@ -134,7 +134,9 @@ fn steady_state_serve_loop_is_allocation_stable() {
     ];
 
     // Warmup: two passes converge the session's frontier-pair high-water
-    // capacity and grow the response buffer to its final size.
+    // capacity and grow the response buffer to its final size. Every
+    // request id here and below has two digits, so no measured reply is
+    // longer than its warm-up twin.
     for pass in 0..2 {
         for (i, kind) in requests.iter().enumerate() {
             serve_one(
@@ -142,7 +144,7 @@ fn steady_state_serve_loop_is_allocation_stable() {
                 kind,
                 &mut out,
                 &mut buf,
-                (pass * 4 + i) as u64,
+                (10 + pass * 4 + i) as u64,
             );
         }
     }
@@ -154,12 +156,12 @@ fn steady_state_serve_loop_is_allocation_stable() {
     // any drift would mean per-request storage churn in the serve loop.
     let (pass3_allocs, pass3_bytes) = counted(|| {
         for (i, kind) in requests.iter().enumerate() {
-            serve_one(&mut session, kind, &mut out, &mut buf, (8 + i) as u64);
+            serve_one(&mut session, kind, &mut out, &mut buf, (18 + i) as u64);
         }
     });
     let (pass4_allocs, pass4_bytes) = counted(|| {
         for (i, kind) in requests.iter().enumerate() {
-            serve_one(&mut session, kind, &mut out, &mut buf, (12 + i) as u64);
+            serve_one(&mut session, kind, &mut out, &mut buf, (22 + i) as u64);
         }
     });
 
