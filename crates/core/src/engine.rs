@@ -6,7 +6,7 @@
 //! for (step = 1; ; step++)
 //!   Phase I   divide BV_t^C across threads (load-balanced);
 //!             for each assigned frontier vertex: prefetch Adj, bin its
-//!             neighbors into the thread's N_PBV PBV bins (SIMD kernel),
+//!             neighbors into the thread's N_PBV PBV bins (bin = v >> shift),
 //!             broadcasting the parent marker
 //!   barrier
 //!   Phase II  divide the PBV bins across threads (whole bins + ≤2 partial
@@ -2125,10 +2125,11 @@ mod tests {
             // One lane races with nobody, so the step's frontier is exactly
             // the previous level; each Pairs entry is two words.
             let mut want = vec![0u64; geometry.n_bins];
-            for u in (0..g.num_vertices() as VertexId).filter(|&u| depths[u as usize] + 1 == s.step)
-            {
-                for &v in g.neighbors(u) {
-                    want[geometry.bin_of(v)] += 2;
+            for u in 0..g.num_vertices() as VertexId {
+                if depths[u as usize] == s.step - 1 {
+                    for &v in g.neighbors(u) {
+                        want[geometry.bin_of(v)] += 2;
+                    }
                 }
             }
             assert_eq!(s.bin_occupancy, want, "step {}", s.step);

@@ -106,7 +106,7 @@ pub struct BinGeometry {
     /// Sockets `N_S`.
     pub sockets: usize,
     /// VIS partitions per socket, rounded up to a power of two so the bin
-    /// index is a single shift (SIMD-friendly, §III-C(4)).
+    /// index is a single shift (§III-C(4)).
     pub n_vis: usize,
     /// `|V_NS|`: vertices per socket stripe (power of two).
     pub vertices_per_socket: usize,

@@ -27,8 +27,8 @@ fn main() {
     let topology = Topology::host();
 
     // 3. The engine with the paper's defaults: atomic-free bit VIS,
-    //    load-balanced two-phase scheduling, TLB rearrangement, SIMD
-    //    binning, prefetching.
+    //    load-balanced two-phase scheduling, TLB rearrangement,
+    //    prefetching.
     let engine = BfsEngine::new(&graph, topology, BfsOptions::default());
     let source = bfs_graph::stats::nth_non_isolated(&graph, 0).expect("non-trivial graph");
     let out = engine.run(source);
