@@ -207,6 +207,19 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_cells_do_not_share_a_line_pair() {
+        let t = ThreadOwned::from_fn(4, |_| Vec::<u32>::new());
+        let addr = |i: usize| t.with_mut(i, |v| v as *mut Vec<u32> as usize);
+        for i in 0..t.len() - 1 {
+            let gap = addr(i + 1) - addr(i);
+            assert!(gap >= 128, "cells {i} and {} are {gap} bytes apart", i + 1);
+        }
+        for i in 0..t.len() {
+            assert_eq!(addr(i) % 128, 0, "cell {i} is not 128-byte aligned");
+        }
+    }
+
+    #[test]
     fn iter_mut_resets_everything() {
         let mut t = ThreadOwned::from_fn(3, |_| 9u8);
         for v in t.iter_mut() {

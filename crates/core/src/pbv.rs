@@ -492,6 +492,22 @@ mod tests {
     }
 
     #[test]
+    fn two_binsets_first_headers_do_not_share_a_line_pair() {
+        // Lanes build their `BinSet`s one after the other, so their header
+        // blocks come from neighbouring heap slots.
+        let a = BinSet::new(1, ResolvedEncoding::Pairs);
+        let b = BinSet::new(1, ResolvedEncoding::Pairs);
+        let (pa, pb) = (
+            &a.bins[0] as *const _ as usize,
+            &b.bins[0] as *const _ as usize,
+        );
+        let gap = pa.abs_diff(pb);
+        assert!(gap >= 128, "first bin headers are {gap} bytes apart");
+        assert_eq!(pa % 128, 0, "first bin header is not 128-byte aligned");
+        assert_eq!(pb % 128, 0, "first bin header is not 128-byte aligned");
+    }
+
+    #[test]
     fn window_on_marker_boundary_assigns_to_next_segment() {
         // If a split lands exactly on a marker, the first segment emits
         // nothing for it and the second segment starts with it.
