@@ -14,18 +14,28 @@
 //! shared access during a read epoch. The barrier between epochs provides
 //! the happens-before edge (its AcqRel hand-off publishes the writes).
 //!
+//! Each cell is padded to its own 128-byte line pair
+//! ([`bfs_platform::CachePadded`]). The lanes write their own cells on
+//! almost every claim (`next.push(v)` stores a `Vec`'s `len`), so unpadded
+//! neighbouring cells would put two lanes' hot headers in one cache line and
+//! turn every push into a cross-core line transfer. Two lines, not one,
+//! because the adjacent-line prefetcher pulls lines in pairs.
+//!
 //! Debug builds verify the protocol dynamically with per-cell borrow flags:
 //! concurrent `with_mut`/`with_mut` or `with_mut`/`read` on the same cell
 //! panics instead of racing. Release builds compile the checks away.
 
 use std::cell::UnsafeCell;
 
+use bfs_platform::CachePadded;
+
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicI32, Ordering};
 
-/// A fixed array of cells, each logically owned by one thread.
+/// A fixed array of cells, each logically owned by one thread and padded
+/// to its own 128-byte line pair.
 pub struct ThreadOwned<T> {
-    cells: Box<[UnsafeCell<T>]>,
+    cells: Box<[CachePadded<UnsafeCell<T>>]>,
     /// Debug-only borrow state per cell: 0 free, -1 mutably borrowed,
     /// > 0 shared-borrow count.
     #[cfg(debug_assertions)]
@@ -42,7 +52,7 @@ impl<T> ThreadOwned<T> {
     /// Builds `n` cells from a constructor.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize) -> T) -> Self {
         Self {
-            cells: (0..n).map(|i| UnsafeCell::new(f(i))).collect(),
+            cells: (0..n).map(|i| CachePadded(UnsafeCell::new(f(i)))).collect(),
             #[cfg(debug_assertions)]
             borrows: (0..n).map(|_| AtomicI32::new(0)).collect(),
         }
@@ -71,7 +81,7 @@ impl<T> ThreadOwned<T> {
         // SAFETY: the epoch contract guarantees no concurrent access to this
         // cell; debug builds enforce it dynamically.
 
-        unsafe { f(&mut *self.cells[owner].get()) }
+        unsafe { f(&mut *self.cells[owner].0.get()) }
     }
 
     /// Shared access to cell `i` for the duration of `f`.
@@ -85,13 +95,13 @@ impl<T> ThreadOwned<T> {
         let _guard = BorrowGuard::shared(&self.borrows[i]);
         // SAFETY: see contract.
 
-        unsafe { f(&*self.cells[i].get()) }
+        unsafe { f(&*self.cells[i].0.get()) }
     }
 
     /// Exclusive access to every cell — requires `&mut self`, so the borrow
     /// checker proves no concurrent access (used between runs).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.cells.iter_mut().map(|c| c.get_mut())
+        self.cells.iter_mut().map(|c| c.0.get_mut())
     }
 }
 

@@ -20,6 +20,7 @@
 //! * **Pairs** — explicit `(parent, neighbor)` word pairs. Costs `2ρ` words
 //!   per vertex — cheaper when `N_PBV ≥ ρ`, which is how `Auto` chooses.
 
+use bfs_platform::CachePadded;
 use serde::{Deserialize, Serialize};
 
 use crate::VertexId;
@@ -187,9 +188,14 @@ impl BinGeometry {
 }
 
 /// One thread's set of `N_PBV` bins for the current step.
-#[derive(Clone, Debug)]
+///
+/// Each bin header sits on its own 128-byte line pair: lanes build their
+/// `BinSet`s one after the other, so unpadded header blocks would land in
+/// neighbouring heap slots and every push would write a line that another
+/// lane is writing too.
+#[derive(Debug)]
 pub struct BinSet {
-    bins: Vec<Vec<u32>>,
+    bins: Box<[CachePadded<Vec<u32>>]>,
     encoding: ResolvedEncoding,
     current_parent: VertexId,
 }
@@ -198,7 +204,7 @@ impl BinSet {
     /// Empty bins.
     pub fn new(n_bins: usize, encoding: ResolvedEncoding) -> Self {
         Self {
-            bins: vec![Vec::new(); n_bins],
+            bins: (0..n_bins).map(|_| CachePadded(Vec::new())).collect(),
             encoding,
             current_parent: 0,
         }
@@ -216,14 +222,14 @@ impl BinSet {
 
     /// Switches encoding (bins must be empty).
     pub fn set_encoding(&mut self, encoding: ResolvedEncoding) {
-        debug_assert!(self.bins.iter().all(|b| b.is_empty()));
+        debug_assert!(self.bins.iter().all(|b| b.0.is_empty()));
         self.encoding = encoding;
     }
 
     /// Clears all bins, keeping their capacity.
     pub fn clear(&mut self) {
         for b in &mut self.bins {
-            b.clear();
+            b.0.clear();
         }
     }
 
@@ -236,7 +242,7 @@ impl BinSet {
         if self.encoding == ResolvedEncoding::Markers {
             let m = encode_marker(parent);
             for b in &mut self.bins {
-                b.push(m);
+                b.0.push(m);
             }
         }
     }
@@ -246,9 +252,9 @@ impl BinSet {
     pub fn push_neighbor(&mut self, bin: usize, v: VertexId) {
         debug_assert_eq!(v & MARKER_FLAG, 0);
         match self.encoding {
-            ResolvedEncoding::Markers => self.bins[bin].push(v),
+            ResolvedEncoding::Markers => self.bins[bin].0.push(v),
             ResolvedEncoding::Pairs => {
-                let b = &mut self.bins[bin];
+                let b = &mut self.bins[bin].0;
                 b.push(self.current_parent);
                 b.push(v);
             }
@@ -257,29 +263,29 @@ impl BinSet {
 
     /// Word length of bin `b`.
     pub fn bin_len(&self, b: usize) -> usize {
-        self.bins[b].len()
+        self.bins[b].0.len()
     }
 
     /// Raw words of bin `b`.
     pub fn bin(&self, b: usize) -> &[u32] {
-        &self.bins[b]
+        &self.bins[b].0
     }
 
     /// Total words across bins.
     pub fn total_len(&self) -> usize {
-        self.bins.iter().map(|b| b.len()).sum()
+        self.bins.iter().map(|b| b.0.len()).sum()
     }
 
     /// Total capacity across bins in `u32` words — the high-water storage a
     /// reused `BinSet` retains between runs.
     pub fn capacity_words(&self) -> usize {
-        self.bins.iter().map(|b| b.capacity()).sum()
+        self.bins.iter().map(|b| b.0.capacity()).sum()
     }
 
     /// Releases all retained bin capacity (the bins stay, emptied).
     pub fn shrink(&mut self) {
         for b in &mut self.bins {
-            *b = Vec::new();
+            b.0 = Vec::new();
         }
     }
 }
@@ -485,10 +491,10 @@ mod tests {
         for i in 0..100 {
             bs.push_neighbor(0, i);
         }
-        let cap = bs.bins[0].capacity();
+        let cap = bs.bins[0].0.capacity();
         bs.clear();
         assert_eq!(bs.total_len(), 0);
-        assert_eq!(bs.bins[0].capacity(), cap);
+        assert_eq!(bs.bins[0].0.capacity(), cap);
     }
 
     #[test]
