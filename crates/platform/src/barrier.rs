@@ -12,7 +12,7 @@
 //! lifetime instead of once per run.
 //!
 //! Because this reproduction often runs more threads than the host has cores
-//! (the container exposes 2 vCPUs while the paper's machine has eight),
+//! (it is measured on 2-vCPU hosts, against the paper's eight cores),
 //! the wait loop spins briefly and then falls back to `thread::yield_now`;
 //! a pure spin barrier would livelock an oversubscribed schedule.
 
