@@ -307,7 +307,7 @@ fn worker_loop(tid: usize, socket: SocketId, lane: usize, shared: &PoolShared) {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     #[test]
@@ -466,6 +466,36 @@ mod tests {
             }
         });
         assert_eq!(log.lock().unwrap().len(), 40);
+    }
+
+    #[test]
+    fn lane_zero_runs_on_the_calling_thread() {
+        let pool = SocketPool::new(Topology::synthetic(2, 2));
+        let ids = pool.run(|_| std::thread::current().id());
+        assert_eq!(ids[0], std::thread::current().id());
+        assert_eq!(pool.handles.len(), 3);
+        let solo = SocketPool::new(Topology::synthetic(1, 1));
+        assert_eq!(
+            solo.run(|_| std::thread::current().id())[0],
+            std::thread::current().id()
+        );
+        assert_eq!(solo.handles.len(), 0, "a 1-lane pool spawns no thread");
+    }
+
+    #[test]
+    fn run_returns_only_after_every_lane_finishes() {
+        let pool = SocketPool::new(Topology::synthetic(1, 3));
+        let done = AtomicBool::new(false);
+        pool.run(|ctx| {
+            if ctx.thread_id == ctx.num_threads() - 1 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                done.store(true, Ordering::Relaxed);
+            }
+        });
+        assert!(
+            done.load(Ordering::Relaxed),
+            "run returned before the last lane finished"
+        );
     }
 
     #[test]
