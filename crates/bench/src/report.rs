@@ -123,7 +123,7 @@ impl RunReport {
     pub fn capture_environment(&mut self) {
         self.git_rev = git_revision();
         self.rustc = rustc_version();
-        self.host_cores = Some(bfs_platform::pin::host_cores());
+        self.host_cores = Some(bfs_platform::topology::host_cores());
         self.hw_events = Some(bfs_perf::availability_string());
     }
 

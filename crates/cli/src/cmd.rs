@@ -385,7 +385,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args, &["validate", "no-rearrange", "relabel", "hugepages"])?;
     let loaded = load_graph(o.require("i")?)?;
     let sockets: usize = o.num("sockets", 1)?;
-    let threads: usize = o.num("threads", bfs_platform::pin::host_cores())?;
+    let threads: usize = o.num("threads", bfs_platform::topology::host_cores())?;
     let topo = Topology::synthetic(sockets, threads.div_ceil(sockets).max(1));
     if o.get("sources").is_some() {
         return run_batch(loaded, topo, &o);
@@ -544,7 +544,7 @@ pub fn trace(args: &[String]) -> Result<(), String> {
     };
     let src = pick_source(&g, &o)?;
     let sockets: usize = o.num("sockets", 1)?;
-    let threads: usize = o.num("threads", bfs_platform::pin::host_cores())?;
+    let threads: usize = o.num("threads", bfs_platform::topology::host_cores())?;
     let topo = Topology::synthetic(sockets, threads.div_ceil(sockets).max(1));
     let mut engine = BfsEngine::new(&g, topo, engine_options(&o)?);
 
@@ -623,7 +623,7 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
         None => return Err("metrics needs -i FILE or --family ...".into()),
     };
     let sockets: usize = o.num("sockets", 1)?;
-    let threads: usize = o.num("threads", bfs_platform::pin::host_cores())?;
+    let threads: usize = o.num("threads", bfs_platform::topology::host_cores())?;
     let topo = Topology::synthetic(sockets, threads.div_ceil(sockets).max(1));
     let count: usize = o.num("sources", 8)?;
     let seed: u64 = o.num("seed", 42)?;

@@ -210,11 +210,11 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         None => return Err("serve needs -i FILE or --family ...".into()),
     };
     let sockets: usize = o.num("sockets", 1)?;
-    let threads: usize = o.num("threads", bfs_platform::pin::host_cores())?;
+    let threads: usize = o.num("threads", bfs_platform::topology::host_cores())?;
     // Session pool: each session gets its own parked SPMD pool carved
     // out of the thread budget. The default keeps the pool small enough
     // that sessions don't fight for lanes.
-    let default_sessions = (bfs_platform::pin::host_cores() / 8).clamp(1, 4);
+    let default_sessions = (bfs_platform::topology::host_cores() / 8).clamp(1, 4);
     let num_sessions: usize = o.num("sessions", default_sessions)?.max(1);
     let per_session = (threads / num_sessions).max(1);
     let topo = Topology::synthetic(sockets, per_session.div_ceil(sockets).max(1));

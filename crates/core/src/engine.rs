@@ -1502,7 +1502,7 @@ const EPILOGUE_CHUNK: usize = 8192;
 /// [`VertexPermutation`] is a bijection on `0..n` (every constructor checks
 /// or builds one, and the graph pins its length to `n`). The stores are
 /// relaxed atomics only because the arrays are shared; they compile to
-/// plain moves, and the pool's finish barrier (an AcqRel episode) publishes
+/// plain moves, and the pool's end-of-run wait for every lane publishes
 /// them to the caller.
 fn materialize(
     graph: &CsrGraph,

@@ -2,16 +2,15 @@
 //!
 //! [`BfsEngine::run`] pays a per-query setup cost that has nothing to do
 //! with the traversal itself: it allocates and zeroes an O(|V|) `DP` array
-//! and `VIS` filter, grows fresh per-thread frontier and bin buffers, and
-//! (before the pool became persistent) spawned and pinned a thread per lane.
+//! and `VIS` filter, and grows fresh per-thread frontier and bin buffers.
 //! For the Graph500-style workload of many traversals over one graph, that
 //! setup dominates small queries.
 //!
 //! A [`BfsSession`] keeps all of it alive across queries:
 //!
-//! * the engine's [`SocketPool`](bfs_platform::SocketPool) parks its pinned
-//!   workers between runs, so a query costs a wake plus barriers instead of
-//!   thread spawns;
+//! * the engine's [`SocketPool`](bfs_platform::SocketPool) runs lane 0 on
+//!   the caller and parks its other workers between runs, so a query costs
+//!   a wake instead of thread spawns;
 //! * `DP` resets in O(1) per query via an epoch stamp in each packed word
 //!   (see [`crate::dp`] — the single-aligned-store §III-A argument is
 //!   preserved because the stamp travels inside the same 64-bit word);

@@ -9,8 +9,8 @@
 //! ([`bfs_platform::CachePadded`]) so two threads' increments never share
 //! a line pair. Aggregation ([`MetricsRegistry::snapshot`]) takes
 //! `&mut self`: exclusive access proves no SPMD region is live, so the
-//! merge reads need no synchronization — the pool's finish barrier already
-//! published every worker write.
+//! merge reads need no synchronization — `SocketPool::run` returned only
+//! after every lane's writes were published to its caller.
 
 use bfs_platform::padded::SlotGuard;
 use bfs_platform::PerThreadSlots;

@@ -347,8 +347,8 @@ mod sys {
     }
 
     /// A per-thread counter group. Monitors the calling thread on any
-    /// CPU (`pid = 0`, `cpu = -1`) — exactly what the SPMD workers need
-    /// since they are pinned (or at least long-lived) anyway.
+    /// CPU (`pid = 0`, `cpu = -1`) — exactly what an SPMD lane needs,
+    /// since it opens its group on its own thread for the region.
     pub struct PerfGroup {
         fds: [i32; MAX_GROUP],
         len: usize,

@@ -8,8 +8,8 @@
 //!
 //! A `SenseBarrier` is reusable indefinitely — no per-episode or per-run
 //! reinitialization — which is what lets the persistent [`crate::pool::SocketPool`]
-//! allocate its two barriers (in-region and finish) once for its whole
-//! lifetime instead of once per run.
+//! allocate its in-region barrier once for its whole lifetime instead of
+//! once per run.
 //!
 //! Because this reproduction often runs more threads than the host has cores
 //! (it is measured on 2-vCPU hosts, against the paper's eight cores),
@@ -42,11 +42,6 @@ impl SenseBarrier {
         }
     }
 
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Blocks until all `n` participants have called `wait` this episode.
     /// Returns `true` for exactly one participant per episode (the last to
     /// arrive), mirroring `std::sync::Barrier`'s leader election.
@@ -64,16 +59,21 @@ impl SenseBarrier {
             self.sense.store(my_sense, Ordering::Release);
             true
         } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != my_sense {
-                if spins < SPINS_BEFORE_YIELD {
-                    std::hint::spin_loop();
-                    spins += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            spin_until(|| self.sense.load(Ordering::Acquire) == my_sense);
             false
+        }
+    }
+}
+
+/// Spins briefly, then yields to the scheduler, until `done` returns `true`.
+pub(crate) fn spin_until(done: impl Fn() -> bool) {
+    let mut spins = 0u32;
+    while !done() {
+        if spins < SPINS_BEFORE_YIELD {
+            std::hint::spin_loop();
+            spins += 1;
+        } else {
+            std::thread::yield_now();
         }
     }
 }
@@ -90,11 +90,6 @@ mod tests {
         for _ in 0..10 {
             assert!(b.wait());
         }
-    }
-
-    #[test]
-    fn counts_participants() {
-        assert_eq!(SenseBarrier::new(5).participants(), 5);
     }
 
     #[test]

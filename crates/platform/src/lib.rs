@@ -13,21 +13,19 @@
 //!   and between Phase I / Phase II: a sense-reversing spin barrier with
 //!   yield fallback (the host here has fewer cores than the paper's machine,
 //!   so pure spinning would deadlock the oversubscribed schedule).
-//! * [`pool::SocketPool`] — a persistent SPMD region runner: spawns one
-//!   long-lived thread per (socket, lane), optionally pinned to physical
-//!   cores via `sched_setaffinity` (the libnuma stand-in), parks the workers
-//!   between runs, and hands each thread a [`pool::ThreadCtx`] describing
-//!   its place in the topology. A run costs a wake plus a barrier episode,
-//!   not N thread spawns — the fast path for query serving.
+//! * [`pool::SocketPool`] — a persistent SPMD region runner: the caller of
+//!   `run` is lane 0, long-lived workers parked between runs are the other
+//!   (socket, lane) pairs, and each thread gets a [`pool::ThreadCtx`]
+//!   describing its place in the topology. A run costs one wake, not N
+//!   thread spawns — the fast path for query serving.
 //! * [`padded::PerThreadSlots`] — cache-line-padded single-writer cells,
 //!   one per pool thread: the sharding primitive behind always-on metrics
-//!   (plain unsynchronized stores on the hot path, merged after the pool's
-//!   finish barrier).
+//!   (plain unsynchronized stores on the hot path, merged after `run`
+//!   returns).
 
 pub mod barrier;
 pub mod hugepage;
 pub mod padded;
-pub mod pin;
 pub mod pool;
 pub mod topology;
 

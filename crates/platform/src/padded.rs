@@ -5,8 +5,9 @@
 //! 64-byte lines — the adjacent-line prefetcher pairs lines, so padding to
 //! a single line still false-shares under it). A thread takes its own slot
 //! for the duration of an SPMD region and bumps plain (non-atomic) fields
-//! through it; the pool's finish barrier is the happens-before edge that
-//! publishes the writes to whoever aggregates afterwards. This is the same
+//! through it; the pool's wait for every lane at the end of `run` is the
+//! happens-before edge that publishes the writes to whoever aggregates
+//! afterwards. This is the same
 //! single-writer phase discipline as `bfs-core`'s `ThreadOwned`, packaged
 //! at the platform layer so crates below `core` (the metrics registry) can
 //! use it without a dependency cycle.

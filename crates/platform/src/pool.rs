@@ -3,26 +3,27 @@
 //! The BFS engine runs as one bulk-synchronous SPMD region: every thread
 //! executes the per-step loop of Fig. 3 and meets the others at barriers.
 //!
-//! Workers are **long-lived**: [`SocketPool::new`] spawns one thread per
-//! (socket, lane) of the topology, optionally pins it, and parks it on a
-//! condvar. Each [`SocketPool::run`] publishes a type-erased job under an
-//! epoch stamp, wakes the workers, and joins them on a finish barrier — a
-//! query costs one wake plus one barrier episode instead of N thread spawns
-//! and joins. Both barriers (the in-region barrier behind
-//! [`ThreadCtx::barrier`] and the caller-inclusive finish barrier) are
-//! allocated once for the pool's lifetime, not per run.
+//! The caller of [`SocketPool::run`] is lane 0 (socket 0) of every region;
+//! [`SocketPool::new`] spawns long-lived workers for thread ids `1..n`
+//! only and parks them on a condvar. Each run publishes a type-erased job
+//! under an epoch stamp, wakes the workers, runs lane 0's share itself,
+//! and then waits until every worker has left the job — a query costs one
+//! wake instead of N thread spawns and joins, and no thread sits beside
+//! the lanes waiting for them. A 1-lane pool spawns no thread at all. The
+//! in-region barrier behind [`ThreadCtx::barrier`] is allocated once for
+//! the pool's lifetime, not per run.
 //!
-//! The caller of `run` blocks until every worker has finished the job, so
-//! the job closure may borrow the graph and all traversal state without
+//! `run` does not return before every worker has finished the job, so the
+//! job closure may borrow the graph and all traversal state without
 //! `Arc`s — the same borrowing guarantee `std::thread::scope` used to
-//! provide, now enforced by the finish barrier instead of a join.
+//! provide, now enforced by a count of busy workers instead of a join.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::barrier::SenseBarrier;
-use crate::pin::pin_to_core;
+use crate::barrier::{spin_until, SenseBarrier};
 use crate::topology::{SocketId, Topology};
 
 /// A thread's identity inside an SPMD region.
@@ -58,20 +59,13 @@ impl ThreadCtx<'_> {
     pub fn num_threads(&self) -> usize {
         self.topology.total_threads()
     }
-
-    /// Range of global thread ids on this thread's socket.
-    pub fn socket_thread_range(&self) -> std::ops::Range<usize> {
-        let per = self.topology.lanes_per_socket;
-        let start = self.socket * per;
-        start..start + per
-    }
 }
 
 /// A published job: a pointer to the caller's (stack-held) closure plus a
 /// monomorphized trampoline that knows its concrete type. Raw pointers keep
-/// the borrow checker out of the hand-off; validity is guaranteed by the
-/// finish barrier (the caller cannot return from `run` — and therefore
-/// cannot invalidate the closure — before every worker is done with it).
+/// the borrow checker out of the hand-off; validity is guaranteed by
+/// `run_erased`, which cannot return — and therefore cannot invalidate the
+/// closure — before every worker is done with it.
 #[derive(Clone, Copy)]
 struct RawJob {
     data: *const (),
@@ -79,13 +73,13 @@ struct RawJob {
 }
 
 // SAFETY: the pointee is `Sync` (enforced by the bound on `run`) and outlives
-// every use (enforced by the finish barrier), so sending the pointer to the
-// workers is sound.
+// every use (`run_erased` waits for `busy_workers` to reach 0), so sending
+// the pointer to the workers is sound.
 unsafe impl Send for RawJob {}
 
 unsafe fn trampoline<F: Fn(&ThreadCtx<'_>) + Sync>(data: *const (), ctx: &ThreadCtx<'_>) {
-    // SAFETY: `data` was erased from an `&F` in `run_erased`, still borrowed
-    // by the caller blocked on the finish barrier.
+    // SAFETY: `data` was erased from an `&F` in `run_erased`, which keeps it
+    // borrowed until every lane has returned from the job.
     unsafe { (*data.cast::<F>())(ctx) }
 }
 
@@ -102,13 +96,19 @@ struct PoolShared {
     topology: Topology,
     /// In-region barrier used by [`ThreadCtx::barrier`]; `n` participants.
     region_barrier: SenseBarrier,
-    /// Run hand-back barrier: `n` workers + the caller of `run`. Its AcqRel
-    /// episode publishes every worker write (result slots included) to the
-    /// caller.
-    finish_barrier: SenseBarrier,
+    /// Workers still inside the current job: set to `n - 1` when a job is
+    /// published, decremented (Release) by each worker after its last
+    /// write, read (Acquire) by the caller before `run` returns — the edge
+    /// that publishes every worker's result-slot write to the caller. A
+    /// count rather than one more `region_barrier` episode, so that a job
+    /// whose lanes call the barrier unevenly (one lane panicked, or the
+    /// closure branches around a barrier) strands `run` instead of letting
+    /// a stray closing arrival complete another lane's in-region episode
+    /// and return while that lane is still running the job.
+    busy_workers: AtomicUsize,
     slot: Mutex<JobSlot>,
     wake: Condvar,
-    /// First worker panic of the current run (re-raised by the caller).
+    /// First lane panic of the current run (re-raised by the caller).
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -122,22 +122,47 @@ impl PoolShared {
     fn lock_panic(&self) -> std::sync::MutexGuard<'_, Option<Box<dyn std::any::Any + Send>>> {
         self.panic.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Runs thread `tid`'s share of `raw`. A panic is caught so the thread
+    /// (and the pool) survive it; the first payload is re-raised by the
+    /// caller of `run`.
+    fn run_lane(&self, tid: usize, raw: RawJob) {
+        let (socket, lane) = self.topology.socket_lane(tid);
+        let ctx = ThreadCtx {
+            thread_id: tid,
+            socket,
+            lane,
+            topology: self.topology,
+            barrier: &self.region_barrier,
+        };
+        // SAFETY: `run_erased` published `raw` and does not return before
+        // every lane has left this call, keeping the closure alive.
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (raw.call)(raw.data, &ctx) }));
+        if let Err(payload) = result {
+            let mut first = self.lock_panic();
+            if first.is_none() {
+                *first = Some(payload);
+            }
+        }
+    }
 }
 
-/// Per-worker result slots, written only by the owning worker during a run
-/// and read by the caller after the finish barrier.
+/// Per-lane result slots, written only by the owning lane during a run
+/// and read by the caller once every worker has finished.
 struct ResultSlots<R>(Vec<std::cell::UnsafeCell<Option<R>>>);
 
-// SAFETY: slot `i` is written only by worker `i` during the run and read
-// only by the caller after the finish barrier's happens-before edge.
+// SAFETY: slot `i` is written only by lane `i` during the run and read only
+// by the caller after `busy_workers` reaches 0 (Release decrements, Acquire
+// load), which orders every worker's write before the read.
 unsafe impl<R: Send> Sync for ResultSlots<R> {}
 
-/// Runner for socket-grouped SPMD regions with persistent, parked workers.
+/// Runner for socket-grouped SPMD regions: the caller is lane 0, and
+/// persistent, parked workers are the other lanes.
 pub struct SocketPool {
     topology: Topology,
     shared: Arc<PoolShared>,
-    /// Serializes concurrent `run` calls on one pool (the job slot and the
-    /// finish barrier assume a single outstanding region).
+    /// Serializes concurrent `run` calls on one pool (the job slot, the
+    /// busy-worker count and lane 0 assume a single outstanding region).
     run_lock: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -152,20 +177,16 @@ impl std::fmt::Debug for SocketPool {
 }
 
 impl SocketPool {
-    /// Pool over `topology` (validated here). Spawns and, when requested,
-    /// pins every worker immediately; the workers then park until the first
+    /// Pool over `topology` (validated here). Spawns a worker for every
+    /// thread id but 0 immediately; the workers then park until the first
     /// [`run`](Self::run).
-    ///
-    /// Pinning policy: lanes are mapped round-robin over physical cores so
-    /// that, when the host has at least as many cores as the region has
-    /// threads, socket-mates share no core with other sockets' threads.
     pub fn new(topology: Topology) -> Self {
         topology.validate();
         let n = topology.total_threads();
         let shared = Arc::new(PoolShared {
             topology,
             region_barrier: SenseBarrier::new(n),
-            finish_barrier: SenseBarrier::new(n + 1),
+            busy_workers: AtomicUsize::new(0),
             slot: Mutex::new(JobSlot {
                 epoch: 0,
                 job: None,
@@ -174,13 +195,13 @@ impl SocketPool {
             wake: Condvar::new(),
             panic: Mutex::new(None),
         });
-        let handles = (0..n)
+        let handles = (1..n)
             .map(|tid| {
                 let (socket, lane) = topology.socket_lane(tid);
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("bfs-s{socket}-l{lane}"))
-                    .spawn(move || worker_loop(tid, socket, lane, &shared))
+                    .spawn(move || worker_loop(tid, &shared))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -197,12 +218,14 @@ impl SocketPool {
         &self.topology
     }
 
-    /// Runs `f` on every thread of the topology simultaneously and returns
-    /// the per-thread results in thread-id order.
+    /// Runs `f` on every thread of the topology simultaneously — thread 0
+    /// on the calling thread — and returns the per-thread results in
+    /// thread-id order.
     ///
     /// # Panics
-    /// Propagates the first panic from any worker thread. The pool remains
-    /// usable afterwards (workers survive job panics).
+    /// Propagates the first panic from any lane, once every lane has
+    /// finished. The pool remains usable afterwards (workers survive job
+    /// panics).
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&ThreadCtx<'_>) -> R + Sync,
@@ -214,7 +237,7 @@ impl SocketPool {
             let slots = &slots;
             let wrapper = move |ctx: &ThreadCtx<'_>| {
                 let r = f(ctx);
-                // SAFETY: this worker owns slot `thread_id` for the run.
+                // SAFETY: this lane owns slot `thread_id` for the run.
                 unsafe { *slots.0[ctx.thread_id].get() = Some(r) };
             };
             self.run_erased(&wrapper);
@@ -222,26 +245,35 @@ impl SocketPool {
         slots
             .0
             .iter_mut()
-            .map(|c| c.get_mut().take().expect("worker did not produce a result"))
+            .map(|c| c.get_mut().take().expect("lane did not produce a result"))
             .collect()
     }
 
-    /// Publishes the erased job, wakes the workers, and blocks on the finish
-    /// barrier until every worker has completed it.
+    /// Publishes the erased job, wakes the workers, runs lane 0 on the
+    /// calling thread, then waits until every worker has completed the job.
     fn run_erased<F: Fn(&ThreadCtx<'_>) + Sync>(&self, job: &F) {
         let _guard = self.run_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let shared = &*self.shared;
         let raw = RawJob {
             data: (job as *const F).cast::<()>(),
             call: trampoline::<F>,
         };
-        {
-            let mut slot = self.shared.lock_slot();
-            slot.job = Some(raw);
-            slot.epoch += 1;
+        if !self.handles.is_empty() {
+            {
+                let mut slot = shared.lock_slot();
+                slot.job = Some(raw);
+                slot.epoch += 1;
+                // The slot mutex orders this store before every worker's
+                // decrement.
+                shared
+                    .busy_workers
+                    .store(self.handles.len(), Ordering::Relaxed);
+            }
+            shared.wake.notify_all();
         }
-        self.shared.wake.notify_all();
-        self.shared.finish_barrier.wait();
-        if let Some(payload) = self.shared.lock_panic().take() {
+        shared.run_lane(0, raw);
+        spin_until(|| shared.busy_workers.load(Ordering::Acquire) == 0);
+        if let Some(payload) = shared.lock_panic().take() {
             std::panic::resume_unwind(payload);
         }
     }
@@ -260,14 +292,9 @@ impl Drop for SocketPool {
     }
 }
 
-/// The worker body: park until the epoch advances, run the job, meet the
-/// caller at the finish barrier, repeat. Job panics are caught so the worker
-/// (and the pool) survive them; the first payload is re-raised by the
-/// caller.
-fn worker_loop(tid: usize, socket: SocketId, lane: usize, shared: &PoolShared) {
-    if shared.topology.pin_threads {
-        let _ = pin_to_core(tid);
-    }
+/// The worker body: park until the epoch advances, run the job, report it
+/// done, repeat.
+fn worker_loop(tid: usize, shared: &PoolShared) {
     let mut seen = 0u64;
     loop {
         let raw = {
@@ -283,23 +310,8 @@ fn worker_loop(tid: usize, socket: SocketId, lane: usize, shared: &PoolShared) {
                 slot = shared.wake.wait(slot).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let ctx = ThreadCtx {
-            thread_id: tid,
-            socket,
-            lane,
-            topology: shared.topology,
-            barrier: &shared.region_barrier,
-        };
-        // SAFETY: the caller that published `raw` is blocked on the finish
-        // barrier below, keeping the closure alive and borrowed.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (raw.call)(raw.data, &ctx) }));
-        if let Err(payload) = result {
-            let mut first = shared.lock_panic();
-            if first.is_none() {
-                *first = Some(payload);
-            }
-        }
-        shared.finish_barrier.wait();
+        shared.run_lane(tid, raw);
+        shared.busy_workers.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -366,15 +378,6 @@ mod tests {
             max_wait >= 10_000_000,
             "fast threads must account the slow thread's 20ms, got {max_wait}ns"
         );
-    }
-
-    #[test]
-    fn socket_thread_range_is_contiguous() {
-        let pool = SocketPool::new(Topology::synthetic(3, 2));
-        let ranges = pool.run(|ctx| ctx.socket_thread_range());
-        assert_eq!(ranges[0], 0..2);
-        assert_eq!(ranges[3], 2..4);
-        assert_eq!(ranges[5], 4..6);
     }
 
     #[test]

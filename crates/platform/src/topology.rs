@@ -36,8 +36,6 @@ pub struct Topology {
     pub page_bytes: u64,
     /// Number of simultaneously mapped pages the TLB holds.
     pub tlb_entries: u64,
-    /// Pin threads to physical cores (round-robin) when the OS allows it.
-    pub pin_threads: bool,
 }
 
 impl Topology {
@@ -51,7 +49,6 @@ impl Topology {
             cache_line: 64,
             page_bytes: 4096,
             tlb_entries: 512,
-            pin_threads: true,
         }
     }
 
@@ -61,22 +58,13 @@ impl Topology {
         Self {
             sockets,
             lanes_per_socket,
-            pin_threads: false,
             ..Self::xeon_x5570_2s()
         }
     }
 
     /// Single-socket topology sized to the current host's parallelism.
     pub fn host() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        Self {
-            sockets: 1,
-            lanes_per_socket: cores,
-            pin_threads: false,
-            ..Self::xeon_x5570_2s()
-        }
+        Self::synthetic(1, host_cores())
     }
 
     /// Total worker threads, `sockets × lanes_per_socket`.
@@ -121,6 +109,13 @@ impl Topology {
             thread_id % self.lanes_per_socket,
         )
     }
+}
+
+/// Number of cores the host exposes to this process.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|c| c.get())
+        .unwrap_or(1)
 }
 
 /// Free-function form of [`Topology::vertices_per_socket`]:
@@ -180,6 +175,11 @@ mod tests {
             assert_eq!(t.thread_id(s, l), tid);
             assert!(s < 3 && l < 4);
         }
+    }
+
+    #[test]
+    fn host_reports_at_least_one_core() {
+        assert!(host_cores() >= 1);
     }
 
     #[test]

@@ -85,6 +85,10 @@ for _ in $(seq 1 100); do [ -s "$ADDR_FILE" ] && break; sleep 0.1; done
 [ -s "$ADDR_FILE" ] || { echo "error: serve never wrote its address" >&2; exit 1; }
 ADDR="$(cat "$ADDR_FILE")"
 curl -fsS "http://$ADDR/healthz" | grep -qx ok
+# Lane 0 runs on the session's own thread: one 2-lane session spawns one
+# pool worker.
+LANES="$(cat /proc/"$SERVE_PID"/task/*/comm 2>/dev/null | grep -c '^bfs-' || true)"
+[ "$LANES" -eq 1 ] || { echo "error: 2-lane server runs $LANES bfs- threads, want 1" >&2; exit 1; }
 # The session must stay up across >= 100 queries...
 Q=0
 for _ in $(seq 1 300); do
@@ -187,6 +191,9 @@ POOL_PID=$!
 for _ in $(seq 1 100); do [ -s "$POOL_ADDR_FILE" ] && break; sleep 0.1; done
 [ -s "$POOL_ADDR_FILE" ] || { echo "error: pooled serve never wrote its address" >&2; exit 1; }
 PADDR="$(cat "$POOL_ADDR_FILE")"
+# Two 1-lane sessions: each runs its lane itself, so no pool worker exists.
+LANES="$(cat /proc/"$POOL_PID"/task/*/comm 2>/dev/null | grep -c '^bfs-' || true)"
+[ "$LANES" -eq 0 ] || { echo "error: pooled 1-lane server runs $LANES bfs- threads, want 0" >&2; exit 1; }
 # The pool is visible: a sessions gauge plus one labeled series per session.
 curl -fsS "http://$PADDR/metrics" | awk '$1 == "fastbfs_sessions" {print $2}' | grep -qx 2
 curl -fsS "http://$PADDR/metrics" | grep -q '^fastbfs_session_requests_total{session="0"}'
