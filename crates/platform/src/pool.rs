@@ -96,15 +96,13 @@ struct PoolShared {
     topology: Topology,
     /// In-region barrier used by [`ThreadCtx::barrier`]; `n` participants.
     region_barrier: SenseBarrier,
-    /// Workers still inside the current job: set to `n - 1` when a job is
-    /// published, decremented (Release) by each worker after its last
-    /// write, read (Acquire) by the caller before `run` returns — the edge
-    /// that publishes every worker's result-slot write to the caller. A
-    /// count rather than one more `region_barrier` episode, so that a job
-    /// whose lanes call the barrier unevenly (one lane panicked, or the
-    /// closure branches around a barrier) strands `run` instead of letting
-    /// a stray closing arrival complete another lane's in-region episode
-    /// and return while that lane is still running the job.
+    /// Workers still inside the current job: set to `n - 1` on publish,
+    /// decremented (Release) by each worker after its last write, and read
+    /// (Acquire) by the caller before `run` returns, which publishes the
+    /// workers' result-slot writes. A count, not one more `region_barrier`
+    /// episode: with uneven barrier calls (a lane panicked between
+    /// barriers) a closing arrival could complete another lane's in-region
+    /// episode and let `run` return while that lane still runs the job.
     busy_workers: AtomicUsize,
     slot: Mutex<JobSlot>,
     wake: Condvar,
