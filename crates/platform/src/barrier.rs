@@ -15,6 +15,11 @@
 //! (it is measured on 2-vCPU hosts, against the paper's eight cores),
 //! the wait loop spins briefly and then falls back to `thread::yield_now`;
 //! a pure spin barrier would livelock an oversubscribed schedule.
+//!
+//! A lane that panics between two barriers never arrives at the next
+//! episode. Its pool marks the barrier *broken*; every lane waiting on it,
+//! or arriving later, then panics instead of spinning forever, and the
+//! pool [`reset`](SenseBarrier::reset)s it once every lane has left the job.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -26,7 +31,13 @@ pub struct SenseBarrier {
     n: usize,
     remaining: AtomicUsize,
     sense: AtomicBool,
+    /// Set when a participant left the region early (it panicked): the
+    /// current episode can no longer complete.
+    broken: AtomicBool,
 }
+
+/// The panic message of a lane released from a broken barrier.
+const BROKEN_BARRIER: &str = "barrier broken: another lane panicked";
 
 impl SenseBarrier {
     /// Barrier for `n` threads.
@@ -39,6 +50,7 @@ impl SenseBarrier {
             n,
             remaining: AtomicUsize::new(n),
             sense: AtomicBool::new(false),
+            broken: AtomicBool::new(false),
         }
     }
 
@@ -50,8 +62,15 @@ impl SenseBarrier {
     /// barrier to every thread that observes the sense flip (Acquire loads);
     /// this is the synchronization the atomic-free VIS protocol relies on
     /// between Phase I and Phase II.
+    ///
+    /// # Panics
+    /// Panics if the barrier is [broken](Self::abort) before the
+    /// episode completes.
     pub fn wait(&self) -> bool {
         let my_sense = !self.sense.load(Ordering::Relaxed);
+        if self.broken.load(Ordering::Acquire) {
+            panic!("{BROKEN_BARRIER}");
+        }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last arrival: reset the count, then flip the sense with
             // Release so waiters' Acquire loads see all preceding writes.
@@ -59,9 +78,28 @@ impl SenseBarrier {
             self.sense.store(my_sense, Ordering::Release);
             true
         } else {
-            spin_until(|| self.sense.load(Ordering::Acquire) == my_sense);
+            spin_until(|| {
+                self.sense.load(Ordering::Acquire) == my_sense
+                    || self.broken.load(Ordering::Acquire)
+            });
+            if self.sense.load(Ordering::Acquire) != my_sense {
+                panic!("{BROKEN_BARRIER}");
+            }
             false
         }
+    }
+
+    /// Marks the barrier broken: every current and later [`wait`](Self::wait)
+    /// panics until [`reset`](Self::reset).
+    pub fn abort(&self) {
+        self.broken.store(true, Ordering::Release);
+    }
+
+    /// Restores a full, unbroken episode. Call it only while no
+    /// participant is inside [`wait`](Self::wait).
+    pub fn reset(&self) {
+        self.remaining.store(self.n, Ordering::Relaxed);
+        self.broken.store(false, Ordering::Release);
     }
 }
 
@@ -96,6 +134,27 @@ mod tests {
     #[should_panic(expected = "at least one participant")]
     fn rejects_zero() {
         SenseBarrier::new(0);
+    }
+
+    #[test]
+    fn abort_releases_waiters_until_reset() {
+        let b = Arc::new(SenseBarrier::new(2));
+        let waiter = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || b.wait())
+        };
+        b.abort();
+        let err = waiter.join().expect_err("an aborted wait panics");
+        assert_eq!(err.downcast_ref::<String>().unwrap(), BROKEN_BARRIER);
+        let late = std::panic::catch_unwind(|| b.wait());
+        assert!(late.is_err(), "arrivals after the abort panic too");
+        b.reset();
+        let other = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || b.wait())
+        };
+        let leaders = [b.wait(), other.join().unwrap()];
+        assert_eq!(leaders.iter().filter(|&&l| l).count(), 1);
     }
 
     #[test]

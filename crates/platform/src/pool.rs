@@ -17,6 +17,10 @@
 //! job closure may borrow the graph and all traversal state without
 //! `Arc`s — the same borrowing guarantee `std::thread::scope` used to
 //! provide, now enforced by a count of busy workers instead of a join.
+//!
+//! A lane that panics aborts the in-region barrier, so the lanes still
+//! inside the job panic out of their next `barrier()` instead of waiting
+//! forever for it; `run` resets the barrier and re-raises the first panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,6 +45,7 @@ pub struct ThreadCtx<'a> {
 
 impl ThreadCtx<'_> {
     /// Waits for all threads of the region; returns `true` on the leader.
+    /// Panics if another lane of the region panicked.
     pub fn barrier(&self) -> bool {
         self.barrier.wait()
     }
@@ -123,7 +128,8 @@ impl PoolShared {
 
     /// Runs thread `tid`'s share of `raw`. A panic is caught so the thread
     /// (and the pool) survive it; the first payload is re-raised by the
-    /// caller of `run`.
+    /// caller of `run`. The panic also aborts the region barrier, which this
+    /// lane will never reach again.
     fn run_lane(&self, tid: usize, raw: RawJob) {
         let (socket, lane) = self.topology.socket_lane(tid);
         let ctx = ThreadCtx {
@@ -141,6 +147,9 @@ impl PoolShared {
             if first.is_none() {
                 *first = Some(payload);
             }
+            // After the payload is stored, so a lane released by the abort
+            // cannot claim the first-panic slot before the original.
+            self.region_barrier.abort();
         }
     }
 }
@@ -272,6 +281,8 @@ impl SocketPool {
         shared.run_lane(0, raw);
         spin_until(|| shared.busy_workers.load(Ordering::Acquire) == 0);
         if let Some(payload) = shared.lock_panic().take() {
+            // No lane is inside the job any more: a fresh episode is safe.
+            shared.region_barrier.reset();
             std::panic::resume_unwind(payload);
         }
     }
@@ -442,6 +453,48 @@ mod tests {
         // Same workers, next query proceeds normally.
         let out = pool.run(|ctx| ctx.thread_id);
         assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn lane_panic_between_barriers_releases_the_other_lanes() {
+        // Lane 1 panics before the barrier lane 0 waits on: lane 0 must be
+        // released, `run` must re-raise lane 1's panic rather than hang, and
+        // the pool must then run barrier-using jobs again.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = SocketPool::new(Topology::synthetic(1, 2));
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(|ctx| {
+                    if ctx.thread_id == 1 {
+                        panic!("lane 1 dies");
+                    }
+                    ctx.barrier();
+                })
+            }));
+            let payload = r.expect_err("run must re-raise the lane panic");
+            tx.send(payload.downcast_ref::<&str>().copied()).unwrap();
+            let phase = AtomicUsize::new(0);
+            let out = pool.run(|ctx| {
+                for p in 1..=10usize {
+                    if ctx.barrier() {
+                        phase.store(p, Ordering::Relaxed);
+                    }
+                    ctx.barrier();
+                    assert_eq!(phase.load(Ordering::Relaxed), p);
+                }
+                ctx.thread_id
+            });
+            tx.send(Some(if out == vec![0, 1] { "ok" } else { "wrong" }))
+                .unwrap();
+        });
+        let timeout = std::time::Duration::from_secs(10);
+        assert_eq!(
+            rx.recv_timeout(timeout)
+                .expect("run hung on the panicked lane"),
+            Some("lane 1 dies"),
+            "the first panic's payload is re-raised"
+        );
+        assert_eq!(rx.recv_timeout(timeout).expect("next run hung"), Some("ok"));
     }
 
     #[test]
