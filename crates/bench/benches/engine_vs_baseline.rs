@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use bfs_core::baseline::atomic_parallel_bfs;
+use bfs_bench::runs::agarwal_options;
 use bfs_core::engine::{BfsEngine, BfsOptions};
 use bfs_core::serial::serial_bfs;
 use bfs_graph::gen::rmat::{rmat, RmatConfig};
@@ -36,13 +36,8 @@ fn bench_engines(c: &mut Criterion) {
             b.iter(|| black_box(engine.run(src).stats.traversed_edges));
         });
         group.bench_with_input(BenchmarkId::new("agarwal", *name), g, |b, g| {
-            b.iter(|| {
-                black_box(
-                    atomic_parallel_bfs(g, Topology::host(), src)
-                        .stats
-                        .traversed_edges,
-                )
-            });
+            let engine = BfsEngine::new(g, Topology::host(), agarwal_options());
+            b.iter(|| black_box(engine.run(src).stats.traversed_edges));
         });
     }
     group.finish();

@@ -5,15 +5,15 @@
 //! * **simulated** — both algorithms replayed on the simulated 2-socket
 //!   X5570 (the Agarwal baseline = atomic bitmap + no locality machinery);
 //!   this carries the paper's 1.5–3x claim and the socket-scaling claim.
-//! * **wall clock** — both real threaded implementations on this host
-//!   (absolute numbers depend on host cores; ratios are reported).
+//! * **wall clock** — the threaded engine on this host under both
+//!   configurations, each built before its timed run (absolute numbers
+//!   depend on host cores; ratios are reported).
 
-use bfs_bench::runs::{run_engine_wall, run_sim, ScaledSetup};
+use bfs_bench::runs::{agarwal_options, agarwal_sim, run_engine_wall, run_sim, ScaledSetup};
 use bfs_bench::table::{fmt_f, Table, TableWriter};
 use bfs_bench::HarnessArgs;
-use bfs_core::engine::{BfsOptions, Scheduling};
+use bfs_core::engine::BfsOptions;
 use bfs_core::sim::SimBfsConfig;
-use bfs_core::VisScheme;
 use bfs_graph::gen::rmat::{rmat, RmatConfig};
 use bfs_graph::gen::uniform::uniform_random;
 use bfs_graph::rng::stream_rng;
@@ -34,17 +34,6 @@ struct Row {
     wall_ours_mteps: f64,
     wall_baseline_mteps: f64,
     wall_speedup: f64,
-}
-
-fn agarwal_sim(machine: MachineConfig) -> SimBfsConfig {
-    SimBfsConfig {
-        machine,
-        vis: VisScheme::AtomicBitTest,
-        scheduling: Scheduling::NoMultiSocketOpt,
-        rearrange: false,
-        prefetch: false,
-        ..Default::default()
-    }
 }
 
 fn main() {
@@ -104,11 +93,10 @@ fn main() {
         };
         let (_c3, ours_1s_mteps, _r) = run_sim(&g, &ours_1s, &setup.bandwidth, src);
 
-        // Wall clock: both threaded implementations on the host.
+        // Wall clock: the engine on the host under both configurations.
         let topo = Topology::host();
         let (wall_ours, _) = run_engine_wall(&g, topo, BfsOptions::default(), src);
-        let baseline_out = bfs_core::baseline::atomic_parallel_bfs(&g, topo, src);
-        let wall_base = baseline_out.stats.mteps();
+        let (wall_base, _) = run_engine_wall(&g, topo, agarwal_options(), src);
 
         t.row([
             family.to_string(),

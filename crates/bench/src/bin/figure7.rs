@@ -3,12 +3,11 @@
 //! analytical model's prediction alongside (the paper reports matching the
 //! model within 10% on social networks and 5% on Toy++).
 
-use bfs_bench::runs::{model_for_graph, run_engine_wall, run_sim, ScaledSetup};
+use bfs_bench::runs::{agarwal_sim, model_for_graph, run_engine_wall, run_sim, ScaledSetup};
 use bfs_bench::table::{fmt_f, fmt_n, Table, TableWriter};
 use bfs_bench::HarnessArgs;
-use bfs_core::engine::{BfsOptions, Scheduling};
+use bfs_core::engine::BfsOptions;
 use bfs_core::sim::SimBfsConfig;
-use bfs_core::VisScheme;
 use bfs_graph::gen::proxy::{ProxyKind, ProxySpec};
 use bfs_graph::stats::nth_non_isolated;
 use bfs_platform::Topology;
@@ -66,15 +65,7 @@ fn main() {
             ..Default::default()
         };
         let (_c, ours_mteps, r) = run_sim(&g, &ours, &setup.bandwidth, src);
-        let base_cfg = SimBfsConfig {
-            machine: setup.machine,
-            vis: VisScheme::AtomicBitTest,
-            scheduling: Scheduling::NoMultiSocketOpt,
-            rearrange: false,
-            prefetch: false,
-            ..Default::default()
-        };
-        let (_c, base_mteps, _r2) = run_sim(&g, &base_cfg, &setup.bandwidth, src);
+        let (_c, base_mteps, _r2) = run_sim(&g, &agarwal_sim(setup.machine), &setup.bandwidth, src);
         let model = model_for_graph(&g, &setup.spec, src, alpha_for(spec.kind));
         let gap = (ours_mteps - model.mteps_multi).abs() / model.mteps_multi * 100.0;
         let (wall, _) = run_engine_wall(&g, Topology::host(), BfsOptions::default(), src);

@@ -1,8 +1,10 @@
-//! Shared measurement paths: scaled machines, engine wall-clock runs,
-//! simulated runs, and model predictions in one struct per row.
+//! Shared measurement paths: scaled machines, the Agarwal et al. baseline
+//! configuration, engine wall-clock runs, simulated runs, and model
+//! predictions in one struct per row.
 
-use bfs_core::engine::{BfsEngine, BfsOptions};
+use bfs_core::engine::{BfsEngine, BfsOptions, Scheduling};
 use bfs_core::sim::{simulate_bfs, SimBfsConfig, SimBfsResult};
+use bfs_core::VisScheme;
 use bfs_graph::stats::traversal_shape;
 use bfs_graph::CsrGraph;
 use bfs_memsim::{BandwidthSpec, MachineConfig};
@@ -64,6 +66,33 @@ impl ScaledSetup {
 impl Default for ScaledSetup {
     fn default() -> Self {
         Self::new(DEFAULT_SHRINK)
+    }
+}
+
+/// The Agarwal et al. baseline of §V as an engine configuration: the
+/// test-first atomic bitmap (one LOCK `fetch_or` claim per vertex), a
+/// shared frontier expanded in even chunks with no binning, and neither
+/// rearrangement nor prefetch.
+pub fn agarwal_options() -> BfsOptions {
+    BfsOptions {
+        vis: VisScheme::AtomicBitTest,
+        scheduling: Scheduling::NoMultiSocketOpt,
+        rearrange: false,
+        prefetch_distance: 0,
+        ..Default::default()
+    }
+}
+
+/// [`agarwal_options`] replayed on the simulated `machine`.
+pub fn agarwal_sim(machine: MachineConfig) -> SimBfsConfig {
+    let o = agarwal_options();
+    SimBfsConfig {
+        machine,
+        vis: o.vis,
+        scheduling: o.scheduling,
+        rearrange: o.rearrange,
+        prefetch: o.prefetch_distance > 0,
+        ..Default::default()
     }
 }
 

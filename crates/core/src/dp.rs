@@ -214,7 +214,8 @@ impl DepthParent {
     }
 
     /// Exactly-once claim via compare-exchange — the LOCK-prefixed update
-    /// used by the atomic baseline (Figure 2(a)).
+    /// of Figure 2(a), measured against [`claim_relaxed`](Self::claim_relaxed)
+    /// by the `components` bench.
     #[inline]
     pub fn claim_atomic(&self, v: VertexId, depth: u32, parent: VertexId) -> bool {
         debug_assert_ne!(depth, INF_DEPTH);

@@ -7,7 +7,9 @@
 //!   stores, the linchpin of the atomic-free correctness argument (§III-A).
 //! * [`vis`] — the `VIS` visited-filter schemes compared in Figure 4: no
 //!   filter, atomic bitmap (Agarwal-style), and the paper's atomic-free byte
-//!   and bit arrays (§III-A).
+//!   and bit arrays (§III-A). The Agarwal et al. baseline of Figure 6 is
+//!   the [`engine`] under the atomic bitmap with binning, rearrangement and
+//!   prefetch switched off (`bfs_bench::runs::agarwal_options`).
 //! * [`cell`] — `ThreadOwned<T>`: the phase-separated single-writer cells
 //!   that let the SPMD region publish per-thread `BV`/`PBV` buffers across
 //!   barriers without locks.
@@ -31,8 +33,6 @@
 //!   (reach, path, multi-source batch) with validation separated from
 //!   execution, and tree-path reconstruction from the parent array.
 //! * [`serial`] — the textbook BFS of Figure 1, the correctness oracle.
-//! * [`baseline`] — re-implementations of prior work compared against in
-//!   Figures 4 and 6 (atomic-bitmap parallel BFS).
 //! * [`validate`] — Graph500-style BFS-tree validation.
 //! * [`stats`] — traversal statistics (traversed edges, steps, phase times).
 //! * [`sim`] — replay of the algorithm on the simulated machine of
@@ -55,7 +55,6 @@
 //! ```
 
 pub mod balance;
-pub mod baseline;
 pub mod cell;
 pub mod direction;
 pub mod dp;

@@ -220,12 +220,6 @@ impl BinSet {
         self.encoding
     }
 
-    /// Switches encoding (bins must be empty).
-    pub fn set_encoding(&mut self, encoding: ResolvedEncoding) {
-        debug_assert!(self.bins.iter().all(|b| b.0.is_empty()));
-        self.encoding = encoding;
-    }
-
     /// Clears all bins, keeping their capacity.
     pub fn clear(&mut self) {
         for b in &mut self.bins {

@@ -37,8 +37,7 @@ pub struct TraversalStats {
     pub duplicate_enqueues: u64,
     /// Direction each level ran, aligned with `frontier_sizes[1..]`
     /// (`step_directions[i]` is the level that enqueued
-    /// `frontier_sizes[i + 1]`). Empty for engines without a direction
-    /// scheduler (baselines, the simulator).
+    /// `frontier_sizes[i + 1]`).
     pub step_directions: Vec<Direction>,
     /// Neighbor probes performed by bottom-up levels (the bottom-up
     /// analogue of traversed edges; 0 for all-top-down runs).

@@ -112,11 +112,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of raw edges accumulated so far (before symmetrization/dedup).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Applies a uniformly random permutation to the vertex ids of all edges
     /// accumulated so far. Used by benchmarks to remove incidental locality
     /// from structured generators (grids, small-world).

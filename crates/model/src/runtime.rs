@@ -4,7 +4,7 @@
 
 use crate::machine::MachineSpec;
 use crate::params::GraphParams;
-use crate::traffic::{self, PhaseTraffic};
+use crate::traffic;
 
 /// Eqn IV.3: effective bandwidth (GB/s) for a striped structure when the
 /// bottleneck socket serves fraction `alpha` of the accesses and the
@@ -164,19 +164,6 @@ fn single_socket_cycles_with_npbv(
 pub fn mteps(machine: &MachineSpec, cycles_per_edge: f64) -> f64 {
     assert!(cycles_per_edge > 0.0);
     machine.freq_ghz * 1e9 / cycles_per_edge / 1e6
-}
-
-/// Convenience: traffic + single + multi in one call.
-pub fn full_cycles(
-    machine: &MachineSpec,
-    g: &GraphParams,
-    alpha: f64,
-) -> (PhaseTraffic, PhaseCycles, PhaseCycles) {
-    (
-        traffic::phase_traffic(machine, g),
-        single_socket_cycles(machine, g),
-        multi_socket_cycles(machine, g, alpha),
-    )
 }
 
 #[cfg(test)]

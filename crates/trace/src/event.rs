@@ -1,7 +1,7 @@
 //! Typed trace events.
 //!
-//! Every engine in the workspace (threaded, baselines, simulated replay)
-//! emits the same small vocabulary: one [`RunEvent`] describing the run's
+//! Every engine in the workspace (the threaded engine under any options,
+//! its query sessions, the simulated replay) emits the same small vocabulary: one [`RunEvent`] describing the run's
 //! geometry, then one per-step event — [`StepEvent`] for wall-clock engines
 //! and [`MemStepEvent`] for the memory-traffic replay.
 //!
@@ -14,7 +14,7 @@ use serde::{de_field, Deserialize, Error, Serialize, Value};
 /// Run-level geometry: emitted once, before the first step.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunEvent {
-    /// Which engine produced the trace (`"engine"`, `"baseline-*"`,
+    /// Which engine produced the trace (`"engine"`, `"session"`,
     /// `"memsim"`).
     pub engine: String,
     /// Vertices in the input graph.
@@ -73,13 +73,13 @@ pub struct StepEvent {
     /// §III-A claim race).
     pub duplicates: u64,
     /// Which kernel ran this level: `"top-down"` or `"bottom-up"`. `None`
-    /// for engines without a direction scheduler (and for traces written
-    /// before the field existed).
+    /// in traces written before the field existed.
     pub direction: Option<String>,
     /// Per-thread phase timings and enqueue counts.
     pub threads: Vec<ThreadStep>,
-    /// Entries binned per PBV bin this step, summed over threads (empty for
-    /// engines without Phase I binning).
+    /// Entries binned per PBV bin this step, summed over threads (empty
+    /// when no Phase I binning ran: `NoMultiSocketOpt` scheduling and
+    /// bottom-up levels).
     pub bin_occupancy: Vec<u64>,
     /// Neighbors scattered into PBV bins this step, summed over threads.
     /// `None` on bottom-up levels (no Phase I scatter ran) and in traces

@@ -48,6 +48,19 @@ target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bo
 target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bottom-up \
     --sockets 2 --threads 4 --scheduling static --relabel --validate
 
+echo "==> figure6 smoke (the Agarwal baseline runs as an engine configuration)"
+FIG6_OUT="$(mktemp /tmp/check_fig6_XXXXXX.json)"
+trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_OUT" "$SMOKE_TUNED" "$FIG6_OUT"' EXIT
+target/release/figure6 --scale 0.05 --json "$FIG6_OUT" >/dev/null
+python3 - "$FIG6_OUT" <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))
+assert rows, "figure6 wrote no rows"
+for r in rows:
+    assert r["wall_ours_mteps"] > 0 and r["wall_baseline_mteps"] > 0, r
+EOF
+rm -f "$FIG6_OUT"
+
 echo "==> bench-compare smoke (regression gate against committed baseline)"
 BASELINE="$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)"
 if [ -n "$BASELINE" ]; then

@@ -1,9 +1,9 @@
 //! Cross-crate integration: every parallel path (engine in all scheduling /
-//! VIS / encoding modes, both baselines, the simulated executor) produces
-//! depths identical to the serial oracle and a valid BFS forest, across
-//! every generator family and many topologies.
+//! VIS / encoding modes, the Agarwal et al. baseline configuration, the
+//! simulated executor) produces depths identical to the serial oracle and a
+//! valid BFS forest, across every generator family and many topologies.
 
-use bfs_core::baseline::{atomic_parallel_bfs, no_vis_parallel_bfs};
+use bfs_bench::runs::agarwal_options;
 use bfs_core::engine::{BfsEngine, BfsOptions, Scheduling};
 use bfs_core::pbv::PbvEncoding;
 use bfs_core::serial::serial_bfs;
@@ -21,6 +21,7 @@ use bfs_graph::stats::nth_non_isolated;
 use bfs_graph::CsrGraph;
 use bfs_memsim::MachineConfig;
 use bfs_platform::Topology;
+use bfs_trace::{RingSink, TraceEvent};
 
 fn workload_suite(seed: u64) -> Vec<(String, CsrGraph)> {
     let mut rng = stream_rng(seed, 0);
@@ -153,6 +154,7 @@ fn engine_matches_serial_across_topologies() {
 
 #[test]
 fn baselines_match_serial_across_suite() {
+    // 4 lanes, so the exactly-once claim is exercised across threads.
     let topo = Topology::synthetic(2, 2);
     for (name, g) in workload_suite(6) {
         let src = match nth_non_isolated(&g, 0) {
@@ -160,13 +162,31 @@ fn baselines_match_serial_across_suite() {
             None => continue,
         };
         let reference = serial_bfs(&g, src);
-        for (label, out) in [
-            ("atomic", atomic_parallel_bfs(&g, topo, src)),
-            ("no-vis", no_vis_parallel_bfs(&g, topo, src)),
-        ] {
-            assert_eq!(out.depths, reference.depths, "{name}/{label}");
-            validate_bfs_tree(&g, src, &out.depths, &out.parents)
-                .unwrap_or_else(|e| panic!("{name}/{label}: {e}"));
+        let ring = RingSink::new(4096);
+        let out = BfsEngine::new(&g, topo, agarwal_options()).run_traced(src, &ring);
+        assert_eq!(out.depths, reference.depths, "{name}");
+        validate_bfs_tree(&g, src, &out.depths, &out.parents)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(out.stats.steps, reference.max_depth, "{name}");
+        assert_eq!(out.stats.visited_vertices, reference.visited, "{name}");
+        assert_eq!(
+            out.stats.traversed_edges, reference.traversed_edges,
+            "{name}"
+        );
+        // The LOCK `fetch_or` claims every vertex exactly once.
+        assert_eq!(out.stats.duplicate_enqueues, 0, "{name}");
+        let steps: Vec<_> = ring
+            .into_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Step(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps.len() as u32, out.stats.steps, "{name}");
+        for s in &steps {
+            assert_eq!(s.duplicates, 0, "{name} step {}", s.step);
+            assert!(s.bin_occupancy.is_empty(), "{name}: no bins");
         }
     }
 }
