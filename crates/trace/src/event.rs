@@ -1,9 +1,10 @@
 //! Typed trace events.
 //!
 //! Every engine in the workspace (the threaded engine under any options,
-//! its query sessions, the simulated replay) emits the same small vocabulary: one [`RunEvent`] describing the run's
-//! geometry, then one per-step event — [`StepEvent`] for wall-clock engines
-//! and [`MemStepEvent`] for the memory-traffic replay.
+//! its query sessions, the simulated replay) emits the same small
+//! vocabulary: one [`RunEvent`] describing the run's geometry, then one
+//! per-step event — [`StepEvent`] for wall-clock engines and
+//! [`MemStepEvent`] for the memory-traffic replay.
 //!
 //! The JSON form is one object per event with an `"event"` tag
 //! (`"run"`/`"step"`/`"mem_step"`/`"metrics"`) merged into the payload, so
