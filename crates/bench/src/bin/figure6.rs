@@ -6,13 +6,15 @@
 //!   X5570 (the Agarwal baseline = atomic bitmap + no locality machinery);
 //!   this carries the paper's 1.5–3x claim and the socket-scaling claim.
 //! * **wall clock** — the threaded engine on this host under both
-//!   configurations, each built before its timed run (absolute numbers
-//!   depend on host cores; ratios are reported).
+//!   configurations: one engine per configuration, built before its timed
+//!   runs, reports the median MTEPS over the same 5 random roots, as §V
+//!   averages over random roots (absolute numbers depend on host cores;
+//!   ratios are reported).
 
-use bfs_bench::runs::{agarwal_options, agarwal_sim, run_engine_wall, run_sim, ScaledSetup};
+use bfs_bench::runs::{agarwal_options, agarwal_sim, median_wall_mteps, run_sim, ScaledSetup};
 use bfs_bench::table::{fmt_f, Table, TableWriter};
 use bfs_bench::HarnessArgs;
-use bfs_core::engine::BfsOptions;
+use bfs_core::engine::{BfsEngine, BfsOptions};
 use bfs_core::sim::SimBfsConfig;
 use bfs_graph::gen::rmat::{rmat, RmatConfig};
 use bfs_graph::gen::uniform::uniform_random;
@@ -94,9 +96,12 @@ fn main() {
         let (_c3, ours_1s_mteps, _r) = run_sim(&g, &ours_1s, &setup.bandwidth, src);
 
         // Wall clock: the engine on the host under both configurations.
+        let roots = bfs_graph::stats::random_roots(&g, 5, args.seed);
         let topo = Topology::host();
-        let (wall_ours, _) = run_engine_wall(&g, topo, BfsOptions::default(), src);
-        let (wall_base, _) = run_engine_wall(&g, topo, agarwal_options(), src);
+        let ours_engine = BfsEngine::new(&g, topo, BfsOptions::default());
+        let base_engine = BfsEngine::new(&g, topo, agarwal_options());
+        let wall_ours = median_wall_mteps(&ours_engine, &roots);
+        let wall_base = median_wall_mteps(&base_engine, &roots);
 
         t.row([
             family.to_string(),

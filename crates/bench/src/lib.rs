@@ -9,6 +9,7 @@
 //! additionally dumps machine-readable rows for EXPERIMENTS.md.
 
 pub mod args;
+pub mod gate;
 pub mod report;
 pub mod runs;
 pub mod table;

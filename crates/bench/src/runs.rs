@@ -122,6 +122,15 @@ pub fn run_engine_wall(
     (out.stats.mteps(), out.stats.traversed_edges)
 }
 
+/// Median wall-clock MTEPS of `engine` over one traversal from each of
+/// `roots`. The caller builds the engine, so its pool and arrays stay
+/// outside the timed runs.
+pub fn median_wall_mteps(engine: &BfsEngine, roots: &[u32]) -> f64 {
+    assert!(!roots.is_empty(), "median over no roots");
+    let mteps: Vec<f64> = roots.iter().map(|&r| engine.run(r).stats.mteps()).collect();
+    crate::gate::median(&mteps)
+}
+
 /// Runs the simulated machine and reports (cycles/edge, MTEPS, result).
 pub fn run_sim(
     graph: &CsrGraph,
@@ -173,6 +182,8 @@ mod tests {
         let (wall, edges) =
             run_engine_wall(&g, Topology::synthetic(2, 2), BfsOptions::default(), 0);
         assert!(wall > 0.0);
+        let engine = BfsEngine::new(&g, Topology::synthetic(2, 2), agarwal_options());
+        assert!(median_wall_mteps(&engine, &[0, 1, 2, 3, 4]) > 0.0);
         let (cpe, mteps, r) = run_sim(
             &g,
             &bfs_core::sim::SimBfsConfig {

@@ -3,9 +3,8 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-use bfs_bench::report::{
-    self, compare, BatchReport, CompareThresholds, QueryReport, RunReport, SCHEMA,
-};
+use bfs_bench::gate;
+use bfs_bench::report::{BatchReport, QueryReport, RunReport, SCHEMA};
 use bfs_core::direction::{DEFAULT_ALPHA, DEFAULT_BETA};
 use bfs_core::engine::{BfsEngine, BfsOptions, BfsOutput, HugepageStatus, Scheduling};
 use bfs_core::serial::serial_bfs;
@@ -132,16 +131,13 @@ subcommands:
   model    analytical prediction   --vertices N --degree D --depth DEP
                                    [--visited N] [--edges E] [--alpha A] [--sockets S]
   convert  text <-> binary         -i FILE -o FILE
-  bench-compare                    BASELINE.json NEW.json — regression gate over two
-           perf regression gate    reports of the same schema. fastbfs-run-v1 (from run
-                                   --json): harmonic MTEPS, p50/p99/p99.9 latency, batch
-                                   QPS, direction-decision drift. fastbfs-load-v1 (from
-                                   loadgen --out): achieved QPS, p50/p99/p99.9, error
-                                   rate. Exits nonzero past threshold
-                                   [--max-mteps-drop F] [--max-latency-rise F]
-                                   [--max-direction-drift F] [--max-qps-drop F]
-                                   (fractions, defaults 0.10/0.25/0.25/0.10)
-                                   [--allow-mismatch] [--quiet]
+  bench-compare                    BENCHMARK.json PARENT CHANGE — regression gate: each
+           perf regression gate    file holds the result lines of alternated untraced
+                                   perfbench/run.sh runs, one per line (pair i = line i);
+                                   per end-to-end metric, prints parent median (IQR),
+                                   change median, pairs won and a verdict (FAIL, gain,
+                                   unresolved, within) under BENCHMARK.json's bounds;
+                                   exits nonzero when any metric FAILs
 ";
 
 pub(crate) fn load_graph(path: &str) -> Result<CsrGraph, String> {
@@ -697,66 +693,22 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `fastbfs bench-compare BASELINE.json NEW.json`: the perf regression
-/// gate. Diffs two `fastbfs run --json` reports and errors (→ exit 1) when
-/// the new one regresses past the thresholds or describes a different
-/// workload.
+/// `fastbfs bench-compare BENCHMARK.json PARENT CHANGE`: the regression
+/// gate ([`bfs_bench::gate`]). Prints one row per end-to-end metric and
+/// errors (→ exit 1) when any row is FAIL or the input is malformed.
 pub fn bench_compare(args: &[String]) -> Result<(), String> {
-    // Leading non-flag tokens are the two positional report paths
-    // (`Opts::parse` accepts flags only).
-    let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with('-')).collect();
-    let &[baseline_path, new_path] = &positional[..] else {
-        return Err("bench-compare needs exactly two report paths (try --help)".into());
+    let [benchmark, parent, change] = args else {
+        return Err("bench-compare takes BENCHMARK.json PARENT CHANGE (try --help)".into());
     };
-    let o = Opts::parse(&args[2..], &["allow-mismatch", "quiet"])?;
-    let thresholds = CompareThresholds {
-        max_mteps_drop: o.num(
-            "max-mteps-drop",
-            CompareThresholds::default().max_mteps_drop,
-        )?,
-        max_latency_rise: o.num(
-            "max-latency-rise",
-            CompareThresholds::default().max_latency_rise,
-        )?,
-        max_direction_drift: o.num(
-            "max-direction-drift",
-            CompareThresholds::default().max_direction_drift,
-        )?,
-        max_qps_drop: o.num("max-qps-drop", CompareThresholds::default().max_qps_drop)?,
-    };
-    // Route by schema: two load reports gate on QPS/tail, two run reports
-    // on MTEPS/latency/direction. A mixed pair is apples-to-oranges.
-    let schemas = (
-        report::schema_of(baseline_path)?,
-        report::schema_of(new_path)?,
-    );
-    let outcome = match (schemas.0.as_str(), schemas.1.as_str()) {
-        (report::LOAD_SCHEMA, report::LOAD_SCHEMA) => {
-            let baseline = report::LoadReport::read(baseline_path)?;
-            let new = report::LoadReport::read(new_path)?;
-            report::compare_load(&baseline, &new, &thresholds, o.has("allow-mismatch"))
-        }
-        (report::SCHEMA, report::SCHEMA) => {
-            let baseline = RunReport::read(baseline_path)?;
-            let new = RunReport::read(new_path)?;
-            compare(&baseline, &new, &thresholds, o.has("allow-mismatch"))
-        }
-        (a, b) => {
-            return Err(format!(
-                "cannot compare schema {a:?} against {b:?}: both reports must be \
-                 fastbfs-run-v1 or both fastbfs-load-v1"
-            ))
-        }
-    };
-    if !o.has("quiet") {
-        print!("{}", outcome.render_text());
-    }
-    if outcome.pass {
+    let read =
+        |path: &String| std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"));
+    let judgement = gate::judge(&read(benchmark)?, &read(parent)?, &read(change)?)
+        .map_err(|e| e.to_string())?;
+    print!("{}", judgement.render());
+    if judgement.passed() {
         Ok(())
     } else {
-        Err(format!(
-            "regression gate failed: {new_path} vs {baseline_path}"
-        ))
+        Err(format!("regression gate failed: {change} vs {parent}"))
     }
 }
 
@@ -1149,76 +1101,48 @@ mod tests {
     }
 
     #[test]
-    fn bench_compare_gates_on_regression() {
-        let path = tmp("g8.fbfs");
-        let base = tmp("base.json");
-        let slow = tmp("slow.json");
-        gen(&s(&[
-            "--family",
-            "ur",
-            "--vertices",
-            "500",
-            "--degree",
-            "5",
-            "-o",
-            &path,
-        ]))
-        .unwrap();
-        run(&s(&[
-            "-i",
-            &path,
-            "--sources",
-            "4",
-            "--threads",
-            "2",
-            "--json",
-            &base,
-        ]))
-        .unwrap();
+    fn bench_compare_gates_result_lines() {
+        let benchmark = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        let (parent, change) = (tmp("parent.lines"), tmp("change.lines"));
+        // Ten untraced result lines as perfbench prints them, with a
+        // little spread in every metric.
+        let lines = |qps_scale: f64| -> String {
+            (0..10)
+                .map(|i| {
+                    let x = 1.0 + i as f64 * 0.01;
+                    format!(
+                        "{{\"correct\":true,\"attempted\":600,\"failed\":0,\"metrics\":{{\
+                         \"setup_s\":{{\"value\":{},\"unit\":\"s\"}},\
+                         \"latency_p10_ms\":{{\"value\":{},\"unit\":\"ms\"}},\
+                         \"achieved_qps\":{{\"value\":{},\"unit\":\"1/s\"}},\
+                         \"peak_rss_mb\":{{\"value\":{},\"unit\":\"MiB\"}}}}}}\n",
+                        3.0 * x,
+                        30.0 * x,
+                        20.0 * x * qps_scale,
+                        1100.0 * x
+                    )
+                })
+                .collect()
+        };
+        std::fs::write(&parent, lines(1.0)).unwrap();
+        std::fs::write(&change, lines(1.0)).unwrap();
+        bench_compare(&s(&[benchmark, &parent, &change])).unwrap();
 
-        // Identical reports pass the gate.
-        bench_compare(&s(&[&base, &base])).unwrap();
-        bench_compare(&s(&[&base, &base, "--quiet", "--max-mteps-drop", "0.01"])).unwrap();
+        // 30% fewer queries per second is past achieved_qps's 25% bound.
+        std::fs::write(&change, lines(0.7)).unwrap();
+        let err = bench_compare(&s(&[benchmark, &parent, &change])).unwrap_err();
+        assert!(err.contains("regression gate failed"), "{err}");
 
-        // A synthetic 20% harmonic-MTEPS regression trips the default 10%
-        // gate: scale every query's mteps down (and latency up) in a copy.
-        let mut slow_report = RunReport::read(&base).unwrap();
-        for q in &mut slow_report.queries {
-            q.mteps *= 0.8;
-            q.latency_ms /= 0.8;
-        }
-        if let Some(b) = &mut slow_report.batch {
-            b.harmonic_mteps *= 0.8;
-        }
-        slow_report.write(&slow).unwrap();
-        assert!(
-            bench_compare(&s(&[&base, &slow, "--quiet"])).is_err(),
-            "20% MTEPS drop must fail the default gate"
-        );
-        // ...but passes when the caller widens the thresholds.
-        bench_compare(&s(&[
-            &base,
-            &slow,
-            "--quiet",
-            "--max-mteps-drop",
-            "0.5",
-            "--max-latency-rise",
-            "0.5",
-        ]))
-        .unwrap();
-
-        // Workload mismatch fails strict mode, passes with --allow-mismatch.
-        let mut other = RunReport::read(&base).unwrap();
-        other.threads = 64;
-        other.write(&slow).unwrap();
-        assert!(bench_compare(&s(&[&base, &slow, "--quiet"])).is_err());
-        bench_compare(&s(&[&base, &slow, "--quiet", "--allow-mismatch"])).unwrap();
-
-        assert!(bench_compare(&s(&[&base])).is_err(), "needs two paths");
-        assert!(bench_compare(&s(&["/no/such.json", &base])).is_err());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&base).ok();
-        std::fs::remove_file(&slow).ok();
+        // Bounds come from BENCHMARK.json only: no flags, three paths.
+        assert!(bench_compare(&s(&[benchmark, &parent])).is_err());
+        assert!(bench_compare(&s(&[benchmark, &parent, &parent, "--quiet"])).is_err());
+        assert!(bench_compare(&s(&[benchmark, &parent, "/no/such.lines"])).is_err());
+        // Input errors name the side and line.
+        std::fs::write(&change, "not json\n").unwrap();
+        let err = bench_compare(&s(&[benchmark, &parent, &change])).unwrap_err();
+        assert!(err.contains("change line 1"), "{err}");
+        std::fs::remove_file(&parent).ok();
+        std::fs::remove_file(&change).ok();
     }
 
     #[test]

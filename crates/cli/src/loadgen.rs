@@ -25,12 +25,11 @@
 //!
 //! The run emits a `fastbfs-load-v1` JSON report (offered vs achieved
 //! QPS, error counts split out by deadline drops, p50/p90/p99/p99.9
-//! latency) that `fastbfs bench-compare` gates on, and `--max-p99-ms`
-//! turns the run itself into a pass/fail SLO check. HTTP 504 responses —
-//! the server's "admitted but dropped" verdict from its deadline
-//! admission layer — are counted as errors *and* reported separately as
-//! `dropped_504`, so an overload run can distinguish deliberate load
-//! shedding from transport failures.
+//! latency), and `--max-p99-ms` turns the run itself into a pass/fail SLO
+//! check. HTTP 504 responses — the server's "admitted but dropped" verdict
+//! from its deadline admission layer — are counted as errors *and*
+//! reported separately as `dropped_504`, so an overload run can
+//! distinguish deliberate load shedding from transport failures.
 
 use std::time::{Duration, Instant};
 
@@ -498,7 +497,6 @@ mod tests {
         );
         assert!((slices[0].p99_ms.unwrap() - 3.0).abs() < 1e-9);
         assert!((slices[1].p99_ms.unwrap() - 9.0).abs() < 1e-9);
-        assert!((slices[1].error_rate() - 0.5).abs() < 1e-9);
 
         // An empty second has no latency summary but still appears.
         let slices = build_slices(&samples[..2], &[], 3.0);

@@ -9,7 +9,7 @@
 //! fastbfs serve --family rmat --scale 16 --metrics-addr 127.0.0.1:9464
 //! fastbfs loadgen http://127.0.0.1:9464 --rate 200 --duration 10 --out load.json
 //! fastbfs monitor http://127.0.0.1:9464 --interval-ms 1000
-//! fastbfs bench-compare baseline.json new.json --max-mteps-drop 0.1
+//! fastbfs bench-compare BENCHMARK.json parent.lines change.lines
 //! fastbfs sim   -i graph.fbfs --scheduling load-balanced
 //! fastbfs model --vertices 8388608 --degree 8 --depth 6 --alpha 0.6
 //! fastbfs convert -i graph.txt -o graph.fbfs

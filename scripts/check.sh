@@ -22,9 +22,8 @@ cargo bench --no-run --offline
 
 echo "==> validate smokes (memory-layout levers, bottom-up lane splits)"
 SMOKE_GRAPH="$(mktemp /tmp/check_smoke_XXXXXX.fbfs)"
-SMOKE_OUT="$(mktemp /tmp/check_smoke_XXXXXX.json)"
 SMOKE_TUNED="$(mktemp /tmp/check_smoke_XXXXXX.json)"
-trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_OUT" "$SMOKE_TUNED"' EXIT
+trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_TUNED"' EXIT
 target/release/fastbfs gen --family rmat --scale 10 --edge-factor 8 --seed 42 -o "$SMOKE_GRAPH"
 # Memory-layout levers: --validate runs the serial oracle on the
 # PRE-relabel graph, so a pass proves the id-translation layer end to
@@ -50,7 +49,7 @@ target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 8 --seed 7 --direction bo
 
 echo "==> figure6 smoke (the Agarwal baseline runs as an engine configuration)"
 FIG6_OUT="$(mktemp /tmp/check_fig6_XXXXXX.json)"
-trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_OUT" "$SMOKE_TUNED" "$FIG6_OUT"' EXIT
+trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_TUNED" "$FIG6_OUT"' EXIT
 target/release/figure6 --scale 0.05 --json "$FIG6_OUT" >/dev/null
 python3 - "$FIG6_OUT" <<'EOF'
 import json, sys
@@ -61,33 +60,46 @@ for r in rows:
 EOF
 rm -f "$FIG6_OUT"
 
-echo "==> bench-compare smoke (regression gate against committed baseline)"
-BASELINE="$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)"
-if [ -n "$BASELINE" ]; then
-    # Tiny scale-10 run with the baseline's workload shape, then gate with
-    # wide tolerances: this smokes the report schema + comparison plumbing,
-    # not this host's absolute performance (hence --allow-mismatch: the
-    # committed baseline was recorded at full scale on another machine).
-    target/release/fastbfs run -i "$SMOKE_GRAPH" --sources 4 --seed 7 --direction auto --json "$SMOKE_OUT"
-    target/release/fastbfs bench-compare "$SMOKE_OUT" "$SMOKE_OUT" --quiet
-    target/release/fastbfs bench-compare "$BASELINE" "$SMOKE_OUT" --allow-mismatch \
-        --max-mteps-drop 0.99 --max-latency-rise 100 --max-direction-drift 1.0 \
-        --max-qps-drop 0.99
-    # The both-levers report still satisfies the comparison plumbing
-    # against the committed baseline.
-    target/release/fastbfs bench-compare "$BASELINE" "$SMOKE_TUNED" --allow-mismatch \
-        --max-mteps-drop 0.99 --max-latency-rise 100 --max-direction-drift 1.0 \
-        --max-qps-drop 0.99
-else
-    echo "    (no BENCH_*.json baseline committed; skipping)"
-fi
+echo "==> bench-compare smoke (pair-protocol gate over synthetic result lines)"
+GATE_PARENT="$(mktemp /tmp/check_gate_XXXXXX.lines)"
+GATE_CHANGE="$(mktemp /tmp/check_gate_XXXXXX.lines)"
+trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_TUNED" "$GATE_PARENT" "$GATE_CHANGE"' EXIT
+# gate_lines FILE MODE writes ten untraced result lines as perfbench
+# prints them: MODE same, slow (achieved_qps x 0.7), incorrect (one line
+# correct:false) or failing (one line with failed requests).
+gate_lines() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+path, mode = sys.argv[1], sys.argv[2]
+with open(path, "w") as f:
+    for i in range(10):
+        x = 1 + i / 100
+        qps = 20.0 * x * (0.7 if mode == "slow" else 1.0)
+        metrics = {"setup_s": (3.0 * x, "s"), "latency_p10_ms": (30.0 * x, "ms"),
+                   "achieved_qps": (qps, "1/s"), "peak_rss_mb": (1100.0 * x, "MiB")}
+        line = {"correct": not (mode == "incorrect" and i == 3), "attempted": 600,
+                "failed": 6 if mode == "failing" and i == 3 else 0,
+                "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
+        f.write(json.dumps(line, separators=(",", ":")) + "\n")
+EOF
+}
+gate_lines "$GATE_PARENT" same
+gate_lines "$GATE_CHANGE" same
+target/release/fastbfs bench-compare BENCHMARK.json "$GATE_PARENT" "$GATE_CHANGE" >/dev/null
+for mode in slow incorrect failing; do
+    gate_lines "$GATE_CHANGE" "$mode"
+    if target/release/fastbfs bench-compare BENCHMARK.json "$GATE_PARENT" "$GATE_CHANGE" >/dev/null 2>&1; then
+        echo "error: bench-compare passed the $mode change set" >&2; exit 1
+    fi
+done
+rm -f "$GATE_PARENT" "$GATE_CHANGE"
 
 echo "==> serve smoke (live Prometheus exporter)"
 SERVE_GRAPH="$(mktemp /tmp/check_serve_XXXXXX.fbfs)"
 ADDR_FILE="$(mktemp /tmp/check_serve_XXXXXX.addr)"
 SERVE_PID=""
 # Replaces (and extends) the trap the validate smokes installed.
-trap 'rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "${SMOKE_GRAPH:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
 target/release/fastbfs gen --family rmat --scale 10 --edge-factor 8 --seed 42 -o "$SERVE_GRAPH"
 : > "$ADDR_FILE"
 # Ephemeral port; the exporter writes the bound address to --addr-file.
@@ -152,8 +164,7 @@ EOF
 
 echo "==> loadgen smoke (open-loop load against the live server)"
 LOAD_OUT="$(mktemp /tmp/check_load_XXXXXX.json)"
-LOAD_BAD="$(mktemp /tmp/check_load_XXXXXX.json)"
-trap 'rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "${SMOKE_GRAPH:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
 target/release/fastbfs loadgen "http://$ADDR" --rate 120 --duration 2 \
     --connections 4 --seed 7 --out "$LOAD_OUT"
 python3 - "$LOAD_OUT" <<'EOF'
@@ -171,19 +182,6 @@ if target/release/fastbfs loadgen "http://$ADDR" --rate 50 --duration 1 \
     --seed 7 --max-p99-ms 0.000001 >/dev/null 2>&1; then
     echo "error: --max-p99-ms breach did not fail loadgen" >&2; exit 1
 fi
-# The load-report gate: identical reports pass, an injected tail
-# regression trips it.
-python3 - "$LOAD_OUT" "$LOAD_BAD" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-d["latency"]["p99_ms"] *= 10.0
-d["latency"]["p999_ms"] *= 10.0
-json.dump(d, open(sys.argv[2], "w"))
-EOF
-target/release/fastbfs bench-compare "$LOAD_OUT" "$LOAD_OUT" --quiet
-if target/release/fastbfs bench-compare "$LOAD_OUT" "$LOAD_BAD" --quiet; then
-    echo "error: inflated tail latency did not fail bench-compare" >&2; exit 1
-fi
 
 curl -fsS "http://$ADDR/quitquitquit" >/dev/null
 wait "$SERVE_PID"
@@ -192,10 +190,9 @@ SERVE_PID=""
 echo "==> multi-session overload smoke (session pool, queued dispatch, deadlines)"
 POOL_ADDR_FILE="$(mktemp /tmp/check_pool_XXXXXX.addr)"
 POOL_OVER="$(mktemp /tmp/check_pool_XXXXXX.json)"
-POOL_A="$(mktemp /tmp/check_pool_XXXXXX.json)"
-POOL_B="$(mktemp /tmp/check_pool_XXXXXX.json)"
+POOL_AFTER="$(mktemp /tmp/check_pool_XXXXXX.json)"
 POOL_PID=""
-trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_A" "$POOL_B"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true' EXIT
+trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_AFTER"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true' EXIT
 : > "$POOL_ADDR_FILE"
 target/release/fastbfs serve -i "$SERVE_GRAPH" --metrics-addr 127.0.0.1:0 \
     --addr-file "$POOL_ADDR_FILE" --sessions 2 --deadline-ms 50 \
@@ -237,6 +234,7 @@ target/release/fastbfs loadgen "http://$PADDR" --rate 500 --duration 1 \
 touch "$BATCH_STOP"
 wait $BATCH_FEEDERS 2>/dev/null || true
 rm -f "$BATCH_STOP"
+BATCH_STOP=""
 python3 - "$POOL_OVER" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -255,28 +253,18 @@ S0B="$(curl -fsS "http://$PADDR/metrics" | grep '^fastbfs_session_requests_total
 S1B="$(curl -fsS "http://$PADDR/metrics" | grep '^fastbfs_session_requests_total{session="1"}' | awk '{print $2}')"
 [ "$S0B" -ge "$S0" ] && [ "$S1B" -ge "$S1" ] || {
     echo "error: per-session counter went backwards: $S0->$S0B / $S1->$S1B" >&2; exit 1; }
-# A matched, non-overloaded pair gates cleanly on achieved QPS (the
-# warmup window keeps cold-start noise out of the measured figures and
-# the sleep lets the host settle after the overload burst). Tail latency
-# is deliberately not gated here: on a 1-core CI box a single ~100 ms
-# scheduling hiccup blows any sane multiplier on a few-ms p99 baseline,
-# and the injected-regression check above already proves the latency
-# gate trips when it should.
+# Once the burst ends the server recovers: a paced run after it, with a
+# warmup window to keep the burst's tail out of the measured figures,
+# completes every request.
 sleep 1
 target/release/fastbfs loadgen "http://$PADDR" --rate 100 --duration 2 --warmup 1 \
-    --connections 4 --seed 7 --out "$POOL_A"
-target/release/fastbfs loadgen "http://$PADDR" --rate 100 --duration 2 --warmup 1 \
-    --connections 4 --seed 7 --out "$POOL_B"
-target/release/fastbfs bench-compare "$POOL_A" "$POOL_B" --quiet \
-    --max-qps-drop 0.30 --max-latency-rise 10000
-# ...and the committed full-scale pool snapshot still satisfies the
-# comparison plumbing from this host (wide tolerances: the snapshot was
-# recorded at full scale, this run is a tiny smoke).
-LOAD_BASELINE="$(ls LOAD_*session_pool*.json 2>/dev/null | sort | tail -1 || true)"
-if [ -n "$LOAD_BASELINE" ]; then
-    target/release/fastbfs bench-compare "$LOAD_BASELINE" "$POOL_A" --allow-mismatch \
-        --max-qps-drop 0.99 --max-latency-rise 10000 --quiet
-fi
+    --connections 4 --seed 7 --out "$POOL_AFTER"
+python3 - "$POOL_AFTER" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["errors"] == 0, ("errors after the overload burst", d["errors"])
+assert d["achieved_qps"] > 0, d["achieved_qps"]
+EOF
 curl -fsS "http://$PADDR/quitquitquit" >/dev/null
 wait "$POOL_PID"
 POOL_PID=""
@@ -287,7 +275,7 @@ FR_LOG="$(mktemp /tmp/check_fr_XXXXXX.jsonl)"
 FR_OUT="$(mktemp /tmp/check_fr_XXXXXX.json)"
 FR_DEEP="$(mktemp /tmp/check_fr_XXXXXX.fbfs)"
 FR_PID=""
-trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_A" "$POOL_B" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT" "$FR_DEEP"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true' EXIT
+trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_AFTER" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT" "$FR_DEEP"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true' EXIT
 : > "$FR_ADDR_FILE"
 # --slow-ms 0: the sampler keeps every trace, so >= 50 driven queries
 # must all be retrievable (ring capacity permitting).
@@ -377,7 +365,7 @@ echo "==> monitor smoke (windowed rollups, SLO verdicts, fastbfs monitor)"
 MON_ADDR_FILE="$(mktemp /tmp/check_mon_XXXXXX.addr)"
 MON_OUT="$(mktemp /tmp/check_mon_XXXXXX.json)"
 MON_PID=""
-trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_OUT:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$LOAD_BAD" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_A" "$POOL_B" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT" "$FR_DEEP" "$MON_ADDR_FILE" "$MON_OUT"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true; [ -n "$MON_PID" ] && kill "$MON_PID" 2>/dev/null || true' EXIT
+trap '[ -n "${BATCH_STOP:-}" ] && touch "$BATCH_STOP" 2>/dev/null; rm -f "${SMOKE_GRAPH:-}" "${SMOKE_TUNED:-}" "$SERVE_GRAPH" "$ADDR_FILE" "$LOAD_OUT" "$POOL_ADDR_FILE" "$POOL_OVER" "$POOL_AFTER" "$FR_ADDR_FILE" "$FR_LOG" "$FR_OUT" "$FR_DEEP" "$MON_ADDR_FILE" "$MON_OUT"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; [ -n "$POOL_PID" ] && kill "$POOL_PID" 2>/dev/null || true; [ -n "$FR_PID" ] && kill "$FR_PID" 2>/dev/null || true; [ -n "$MON_PID" ] && kill "$MON_PID" 2>/dev/null || true' EXIT
 : > "$MON_ADDR_FILE"
 # Short windows so the smoke sees a full breach/recover cycle: 100 ms
 # ticks, 2 s fast window, 8 s slow window, drop-rate SLO at 20%.

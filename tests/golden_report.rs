@@ -6,10 +6,16 @@
 //! This pins the schema-evolution rule: additions to `RunReport` are
 //! `Option<T>` only; renames and removals are breaking and need a schema
 //! bump. If this test fails after you touched the report structs, you broke
-//! every committed `BENCH_*.json` baseline and external tooling parsing
-//! them — add an optional field instead.
+//! every saved report and external tooling parsing them — add an optional
+//! field instead.
 
-use bfs_bench::report::{compare, CompareThresholds, RunReport, SCHEMA};
+use bfs_bench::report::{RunReport, SCHEMA};
+
+/// Parses a committed golden report through the current report types.
+fn read(path: &str) -> RunReport {
+    let text = std::fs::read_to_string(path).expect("golden report is committed");
+    serde_json::from_str(&text).expect("golden report must parse")
+}
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -23,7 +29,7 @@ const GOLDEN_PR5: &str = concat!(
 
 #[test]
 fn pr3_era_report_still_parses() {
-    let report = RunReport::read(GOLDEN).expect("PR 3 golden report must parse");
+    let report = read(GOLDEN);
     assert_eq!(report.schema, SCHEMA);
 
     // Workload identity as captured when the golden was generated.
@@ -62,30 +68,11 @@ fn pr3_era_report_still_parses() {
 }
 
 #[test]
-fn pr3_era_report_feeds_the_gate() {
-    // The regression gate must accept pre-metrics baselines: none of its
-    // inputs may depend on post-PR3 fields.
-    let report = RunReport::read(GOLDEN).unwrap();
-    assert!(report.harmonic_mteps() > 0.0);
-    assert!(report.latency_percentile_ms(50.0) > 0.0);
-    assert!(report.latency_percentile_ms(99.0) >= report.latency_percentile_ms(50.0));
-    let bu = report.bottom_up_fraction();
-    assert!(bu > 0.0 && bu < 1.0, "golden mixes directions: {bu}");
-
-    let out = compare(&report, &report, &CompareThresholds::default(), false);
-    assert!(
-        out.pass,
-        "self-comparison must pass:\n{}",
-        out.render_text()
-    );
-}
-
-#[test]
 fn pr5_era_report_still_parses() {
     // A report emitted by the PR 5 binary: environment header and
     // hw_events exist, but the batch latency percentiles added in PR 6 do
     // not. They must deserialize as `None`, never as an error.
-    let report = RunReport::read(GOLDEN_PR5).expect("PR 5 golden report must parse");
+    let report = read(GOLDEN_PR5);
     assert_eq!(report.schema, SCHEMA);
 
     // The PR 4/5 additions are populated in this era.
@@ -110,31 +97,6 @@ fn pr5_era_report_still_parses() {
     assert_eq!(batch.latency_p999_ms, None);
 }
 
-#[test]
-fn pr5_era_report_feeds_the_tail_gate() {
-    // The PR 6 gate additions (QPS drop, batch tail latency) must degrade
-    // gracefully on a baseline that predates the precomputed percentiles:
-    // the p99.9 check falls back to the per-query rows, and the QPS check
-    // uses the batch block that PR 5 already had.
-    let report = RunReport::read(GOLDEN_PR5).unwrap();
-    assert!(report.latency_percentile_ms(99.9) >= report.latency_percentile_ms(50.0));
-    let out = compare(&report, &report, &CompareThresholds::default(), false);
-    assert!(
-        out.pass,
-        "self-comparison must pass:\n{}",
-        out.render_text()
-    );
-    // Both tail and throughput checks actually ran against the old report.
-    assert!(
-        out.checks.iter().any(|c| c.name == "latency_p999_ms"),
-        "p999 check must fall back to query rows"
-    );
-    assert!(
-        out.checks.iter().any(|c| c.name == "queries_per_sec"),
-        "QPS check must use the PR 5 batch block"
-    );
-}
-
 const GOLDEN_PR6: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/run_report_v1_pr6.json"
@@ -146,7 +108,7 @@ fn pr6_era_report_still_parses() {
     // exist, but the PR 7 memory-layout provenance (`relabel`,
     // `hugepages`) does not. The new fields must deserialize as `None`,
     // never as an error.
-    let report = RunReport::read(GOLDEN_PR6).expect("PR 6 golden report must parse");
+    let report = read(GOLDEN_PR6);
     assert_eq!(report.schema, SCHEMA);
     assert_eq!(report.git_rev.as_deref(), Some("3f95ba5"));
     let batch = report.batch.as_ref().expect("golden was a batch run");
@@ -159,39 +121,21 @@ fn pr6_era_report_still_parses() {
 }
 
 #[test]
-fn pr6_era_report_diffs_without_layout_noise() {
-    // `bench-compare` against a pre-PR7 baseline must degrade gracefully:
-    // no layout-provenance warning (one side is unknown, not different),
-    // and the gate itself never depends on the new fields.
-    let old = RunReport::read(GOLDEN_PR6).unwrap();
-    let mut new = old.clone();
-    new.relabel = Some(true);
-    new.hugepages = Some("enabled".to_string());
-    let out = compare(&old, &new, &CompareThresholds::default(), false);
-    assert!(out.pass, "{}", out.render_text());
-    assert!(
-        out.layout_warning.is_none(),
-        "unknown-vs-known provenance must stay silent: {:?}",
-        out.layout_warning
-    );
-
-    // Two post-PR7 reports that disagree DO warn (and still pass).
-    let mut plain = old.clone();
-    plain.relabel = Some(false);
-    plain.hugepages = Some("disabled".to_string());
-    let out = compare(&plain, &new, &CompareThresholds::default(), false);
-    assert!(out.pass);
-    assert!(out.layout_warning.is_some());
-}
-
-#[test]
 fn reserialized_golden_roundtrips() {
     // Writing a parsed old report back out and re-reading it must preserve
-    // the gate-relevant aggregates exactly.
-    let report = RunReport::read(GOLDEN).unwrap();
+    // every query row and the batch block exactly.
+    let report = read(GOLDEN);
     let text = report.to_json().unwrap();
     let back: RunReport = serde_json::from_str(&text).unwrap();
     assert_eq!(back.queries.len(), report.queries.len());
-    assert_eq!(back.harmonic_mteps(), report.harmonic_mteps());
-    assert_eq!(back.bottom_up_fraction(), report.bottom_up_fraction());
+    for (a, b) in back.queries.iter().zip(&report.queries) {
+        assert_eq!(
+            (a.root, a.depth, a.bottom_up_steps, &a.directions),
+            (b.root, b.depth, b.bottom_up_steps, &b.directions)
+        );
+        assert_eq!((a.mteps, a.latency_ms), (b.mteps, b.latency_ms));
+    }
+    let (a, b) = (back.batch.unwrap(), report.batch.unwrap());
+    assert_eq!(a.harmonic_mteps, b.harmonic_mteps);
+    assert_eq!(a.queries_per_sec, b.queries_per_sec);
 }
