@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use bfs_platform::hugepage::MaybeHuge;
+use bfs_platform::hugepage::{MaybeHuge, Zeroable};
 
 use crate::relabel::VertexPermutation;
 use crate::VertexId;
@@ -157,14 +157,18 @@ impl CsrGraph {
 
     /// Re-backs the offsets and neighbor arrays with 2 MiB transparent
     /// hugepages where the host allows and the arrays are large enough
-    /// (§III-C: the scatter's dTLB misses concentrate in `Adj`). Falls back
-    /// to the existing heap storage per-array on any refusal; returns
+    /// (§III-C: the scatter's dTLB misses concentrate in `Adj`). A heap
+    /// array moves into [`MaybeHuge::from_vec`], which copies it once into
+    /// the hugepage mapping and frees the heap buffer, or keeps that buffer
+    /// as it is when the array is below
+    /// [`bfs_platform::hugepage::HUGE_MIN_BYTES`] or the host refuses. An
+    /// array that is already hugepage-backed stays where it is. Returns
     /// whether at least one array ended up hugepage-backed. The typed
     /// host-level reason is available from
     /// [`bfs_platform::hugepage::availability`].
     pub fn migrate_to_hugepages(&mut self) -> bool {
-        self.offsets = MaybeHuge::from_vec(self.offsets.to_vec(), true);
-        self.neighbors = MaybeHuge::from_vec(self.neighbors.to_vec(), true);
+        migrate(&mut self.offsets);
+        migrate(&mut self.neighbors);
         self.is_hugepage_backed()
     }
 
@@ -203,6 +207,15 @@ impl CsrGraph {
     /// Heap footprint in bytes (offsets + neighbors).
     pub fn memory_bytes(&self) -> u64 {
         (self.offsets.len() * std::mem::size_of::<u64>()) as u64 + self.adjacency_bytes()
+    }
+}
+
+/// Moves a heap array into hugepage backing (see
+/// [`CsrGraph::migrate_to_hugepages`]).
+fn migrate<T: Zeroable + Copy>(array: &mut MaybeHuge<T>) {
+    if let MaybeHuge::Heap(heap) = array {
+        let data = std::mem::take(heap).into_vec();
+        *array = MaybeHuge::from_vec(data, true);
     }
 }
 
@@ -245,6 +258,7 @@ impl Deserialize for CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfs_platform::hugepage::HUGE_MIN_BYTES;
 
     fn diamond() -> CsrGraph {
         // 0 - 1, 0 - 2, 1 - 3, 2 - 3 (undirected, doubled)
@@ -390,11 +404,49 @@ mod tests {
     fn hugepage_migration_preserves_contents() {
         let g = diamond();
         let mut h = g.clone();
-        let _ = h.migrate_to_hugepages();
-        // Tiny arrays stay on the heap by policy, but contents and equality
-        // are backing-independent either way.
+        let ptr = h.raw_neighbors().as_ptr();
+        assert!(!h.migrate_to_hugepages());
+        // Arrays below HUGE_MIN_BYTES stay in the heap buffer they were
+        // moved out of, not in a copy.
+        assert!(!h.offsets.is_huge() && !h.neighbors.is_huge());
+        assert_eq!(h.raw_neighbors().as_ptr(), ptr);
         assert_eq!(g, h);
         assert_eq!(h.neighbors(0), &[1, 2]);
+    }
+
+    #[test]
+    fn hugepage_migration_moves_large_arrays_once() {
+        // A 40 000-cycle: both arrays exceed HUGE_MIN_BYTES.
+        let n = 40_000u32;
+        let neighbors: Vec<VertexId> = (0..n)
+            .flat_map(|v| [(v + n - 1) % n, (v + 1) % n])
+            .collect();
+        let offsets: Vec<u64> = (0..=n as u64).map(|v| 2 * v).collect();
+        let (g, perm) = crate::relabel::degree_order(&CsrGraph::from_parts(offsets, neighbors));
+        assert!(g.adjacency_bytes() as usize >= HUGE_MIN_BYTES);
+        let mut h = g.clone();
+        let huge = h.migrate_to_hugepages();
+        assert_eq!(huge, h.is_hugepage_backed());
+        assert_eq!(h.offsets(), g.offsets());
+        assert_eq!(h.raw_neighbors(), g.raw_neighbors());
+        assert_eq!(h.permutation(), Some(&perm));
+        // Whether the host grants hugepages decides the backing; a second
+        // call leaves every hugepage-backed array where it is.
+        let before = [
+            (h.offsets.is_huge(), h.offsets().as_ptr() as usize),
+            (h.neighbors.is_huge(), h.raw_neighbors().as_ptr() as usize),
+        ];
+        assert_eq!(h.migrate_to_hugepages(), huge);
+        let after = [
+            h.offsets().as_ptr() as usize,
+            h.raw_neighbors().as_ptr() as usize,
+        ];
+        for ((was_huge, ptr), now) in before.into_iter().zip(after) {
+            if was_huge {
+                assert_eq!(now, ptr);
+            }
+        }
+        assert_eq!(h, g);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::builder::{BuildOptions, GraphBuilder};
 use crate::csr::CsrGraph;
@@ -103,37 +103,41 @@ pub fn to_binary(graph: &CsrGraph) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes the binary cache format produced by [`to_binary`].
-pub fn from_binary(mut data: &[u8]) -> io::Result<CsrGraph> {
-    if data.len() < 24 || &data[..8] != BINARY_MAGIC {
+/// Decodes the binary cache format produced by [`to_binary`]. Any payload
+/// that is not such an encoding (a bad magic, a length that disagrees with
+/// the header, or CSR arrays that [`CsrGraph::try_from_parts`] rejects)
+/// is an [`io::ErrorKind::InvalidData`] error.
+pub fn from_binary(data: &[u8]) -> io::Result<CsrGraph> {
+    let Some((header, body)) = data.split_at_checked(24) else {
+        return Err(bad("bad magic"));
+    };
+    if &header[..8] != BINARY_MAGIC {
         return Err(bad("bad magic"));
     }
-    data.advance(8);
-    let n = data.get_u64_le() as usize;
-    let m = data.get_u64_le() as usize;
-    let need = (n + 1)
-        .checked_mul(8)
-        .and_then(|x| m.checked_mul(4).map(|y| x + y))
+    let n = le_u64(&header[8..16]);
+    let m = le_u64(&header[16..24]);
+    let offsets_len = n
+        .checked_add(1)
+        .and_then(|x| x.checked_mul(8))
         .ok_or_else(|| bad("size overflow"))?;
-    if data.remaining() != need {
+    let need = m
+        .checked_mul(4)
+        .and_then(|y| y.checked_add(offsets_len))
+        .ok_or_else(|| bad("size overflow"))?;
+    if body.len() as u64 != need {
         return Err(bad("truncated or oversized payload"));
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(data.get_u64_le());
-    }
-    let mut neighbors = Vec::with_capacity(m);
-    for _ in 0..m {
-        neighbors.push(data.get_u32_le());
-    }
-    if offsets.first() != Some(&0)
-        || offsets.last() != Some(&(m as u64))
-        || offsets.windows(2).any(|w| w[0] > w[1])
-        || neighbors.iter().any(|&v| v as usize >= n)
-    {
-        return Err(bad("inconsistent CSR payload"));
-    }
-    Ok(CsrGraph::from_parts(offsets, neighbors))
+    let (offsets, neighbors) = body.split_at(offsets_len as usize);
+    let offsets = offsets.chunks_exact(8).map(le_u64).collect();
+    let neighbors = neighbors
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("a 4-byte chunk")))
+        .collect();
+    CsrGraph::try_from_parts(offsets, neighbors).map_err(bad_data)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte field"))
 }
 
 /// Writes the binary format to a stream.
@@ -154,6 +158,7 @@ mod tests {
     use crate::gen::classic::{binary_tree, path};
     use crate::gen::rmat::{rmat, RmatConfig};
     use crate::rng::rng_from_seed;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     #[test]
@@ -232,5 +237,61 @@ mod tests {
         // offsets start right after magic + 16; corrupt offsets[0].
         bytes[24] = 9;
         assert!(from_binary(&bytes).is_err());
+    }
+
+    /// A small directed multigraph from raw lists; `n` may exceed every
+    /// id used, leaving isolated vertices.
+    fn lists_graph(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
+        let mut b = GraphBuilder::new(n, BuildOptions::directed_raw());
+        b.add_edges(edges.iter().map(|&(u, v)| (u % n as u32, v % n as u32)));
+        b.build()
+    }
+
+    /// Every decode error is a typed `InvalidData`.
+    fn invalid_data(decoded: io::Result<CsrGraph>) -> Result<(), String> {
+        match decoded {
+            Ok(g) => Err(format!("accepted a corrupt payload as {g:?}")),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(()),
+            Err(e) => Err(format!("wrong error kind {:?}: {e}", e.kind())),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn binary_loader_never_panics_and_types_its_errors(
+            n in 1usize..40,
+            edges in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..80),
+            cut in any::<usize>(),
+            flip in (any::<usize>(), 1u8..=255),
+            lie in prop_oneof![any::<u64>(), Just(u64::MAX), Just(u64::MAX / 8), 0u64..64],
+        ) {
+            let g = lists_graph(n, &edges);
+            let bytes = to_binary(&g).to_vec();
+            // Valid encodings round-trip.
+            prop_assert_eq!(from_binary(&bytes).ok(), Some(g.clone()));
+
+            // Truncation anywhere.
+            invalid_data(from_binary(&bytes[..cut % bytes.len()]))?;
+
+            // A header that lies about n or about m.
+            for field in [8..16, 16..24] {
+                let mut lied = bytes.clone();
+                if lied[field.clone()] != lie.to_le_bytes() {
+                    lied[field].copy_from_slice(&lie.to_le_bytes());
+                    invalid_data(from_binary(&lied))?;
+                }
+            }
+
+            // One flipped byte either breaks the encoding or is another
+            // valid encoding that round-trips byte for byte.
+            let mut flipped = bytes.clone();
+            flipped[flip.0 % bytes.len()] ^= flip.1;
+            match from_binary(&flipped) {
+                Ok(h) => prop_assert_eq!(to_binary(&h).to_vec(), flipped),
+                Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            }
+        }
     }
 }

@@ -16,6 +16,9 @@
 //! the query layer and the serve endpoints only ever see external ids:
 //! relabeling is invisible to clients.
 
+use std::ops::Range;
+
+use bfs_platform::topology::host_cores;
 use serde::{Deserialize, Serialize};
 
 use crate::csr::CsrGraph;
@@ -126,6 +129,13 @@ impl Deserialize for VertexPermutation {
 /// puts every list's highest-degree (hottest) neighbors first — the same
 /// bytes the bottom-up first-hit probe wants early.
 ///
+/// The order comes from a stable counting sort on degree and the new
+/// offsets from a prefix sum of the degrees in that order. The gather and
+/// per-list sort then run on one lane per host core
+/// ([`bfs_platform::topology::host_cores`]), cut at whole lists by edge
+/// count so each lane writes its own disjoint slice of the neighbor array.
+/// The result does not depend on the number of lanes.
+///
 /// An empty or edgeless graph has nothing to reorder: the pass returns an
 /// identical graph under the identity permutation (never panics — the
 /// degenerate guard covers [`CsrGraph::empty`] explicitly).
@@ -133,6 +143,12 @@ impl Deserialize for VertexPermutation {
 /// Relabeling an already-relabeled graph composes the permutations, so
 /// external ids always refer to the originally loaded graph.
 pub fn degree_order(graph: &CsrGraph) -> (CsrGraph, VertexPermutation) {
+    degree_order_on(graph, host_cores())
+}
+
+/// [`degree_order`] with the gather and per-list sort split over `lanes`
+/// threads (the caller runs the first lane).
+fn degree_order_on(graph: &CsrGraph, lanes: usize) -> (CsrGraph, VertexPermutation) {
     let n = graph.num_vertices();
     if n == 0 || graph.num_edges() == 0 {
         let perm = compose(graph.permutation(), &VertexPermutation::identity(n));
@@ -141,9 +157,9 @@ pub fn degree_order(graph: &CsrGraph) -> (CsrGraph, VertexPermutation) {
         return (out, perm);
     }
 
-    // order[new] = old: vertex ids sorted by descending out-degree.
-    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+    // order[new] = old: vertex ids by descending out-degree, ascending id
+    // within a degree.
+    let order = by_descending_degree(graph);
     let mut forward = vec![0 as VertexId; n];
     for (new_id, &old) in order.iter().enumerate() {
         forward[old as usize] = new_id as VertexId;
@@ -151,13 +167,53 @@ pub fn degree_order(graph: &CsrGraph) -> (CsrGraph, VertexPermutation) {
 
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0u64);
-    let mut neighbors = Vec::with_capacity(graph.num_edges() as usize);
+    let mut end = 0u64;
     for &old in &order {
-        let start = neighbors.len();
-        neighbors.extend(graph.neighbors(old).iter().map(|&nb| forward[nb as usize]));
-        neighbors[start..].sort_unstable();
-        offsets.push(neighbors.len() as u64);
+        end += graph.neighbors(old).len() as u64;
+        offsets.push(end);
     }
+
+    let mut neighbors = vec![0 as VertexId; end as usize];
+    let fill = |ids: Range<usize>, dst: &mut [VertexId]| {
+        let base = offsets[ids.start];
+        for new_id in ids {
+            let list =
+                &mut dst[(offsets[new_id] - base) as usize..(offsets[new_id + 1] - base) as usize];
+            let old = graph.neighbors(order[new_id]);
+            for (slot, &nb) in list.iter_mut().zip(old) {
+                *slot = forward[nb as usize];
+            }
+            list.sort_unstable();
+        }
+    };
+    let lanes = lanes.max(1);
+    let mut parts = Vec::with_capacity(lanes);
+    let mut rest = &mut neighbors[..];
+    let mut lo = 0;
+    for lane in 1..=lanes {
+        // A lane takes the lists that start before its share of the edges
+        // ends; the last lane also takes the degree-0 tail.
+        let hi = if lane == lanes {
+            n
+        } else {
+            let share = end * lane as u64 / lanes as u64;
+            offsets.partition_point(|&o| o < share)
+        };
+        let (mine, tail) = rest.split_at_mut((offsets[hi] - offsets[lo]) as usize);
+        parts.push((lo..hi, mine));
+        rest = tail;
+        lo = hi;
+    }
+    std::thread::scope(|s| {
+        let mut parts = parts.into_iter();
+        let first = parts.next();
+        for (ids, dst) in parts {
+            s.spawn(move || fill(ids, dst));
+        }
+        if let Some((ids, dst)) = first {
+            fill(ids, dst);
+        }
+    });
 
     let step = VertexPermutation {
         forward: forward.into_boxed_slice(),
@@ -167,6 +223,35 @@ pub fn degree_order(graph: &CsrGraph) -> (CsrGraph, VertexPermutation) {
     let mut out = CsrGraph::from_parts(offsets, neighbors);
     out.set_permutation(Some(perm.clone()));
     (out, perm)
+}
+
+/// All vertex ids ordered by descending out-degree, ascending id within a
+/// degree: a stable counting sort keyed on degree.
+fn by_descending_degree(graph: &CsrGraph) -> Vec<VertexId> {
+    let n = graph.num_vertices();
+    let max_degree = (0..n as VertexId)
+        .map(|v| graph.degree(v))
+        .max()
+        .unwrap_or(0);
+    // next[d] = first slot of degree d: the count of vertices of higher
+    // degree.
+    let mut next = vec![0usize; max_degree as usize + 1];
+    for v in 0..n as VertexId {
+        next[graph.degree(v) as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in next.iter_mut().rev() {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut order = vec![0 as VertexId; n];
+    for v in 0..n as VertexId {
+        let slot = &mut next[graph.degree(v) as usize];
+        order[*slot] = v;
+        *slot += 1;
+    }
+    order
 }
 
 /// Composes an optional pre-existing permutation (external → `graph`'s
@@ -195,10 +280,112 @@ mod tests {
     use super::*;
     use crate::gen::rmat::{rmat, RmatConfig};
     use crate::rng::rng_from_seed;
+    use rand::Rng;
 
     fn star_plus_chain() -> CsrGraph {
         // 0-1, 2-{3,4,5}: vertex 2 has the highest degree, then 3-way ties.
         CsrGraph::from_parts(vec![0, 1, 2, 5, 6, 7, 8], vec![1, 0, 3, 4, 5, 2, 2, 2])
+    }
+
+    /// The construction `degree_order` replaced, kept as the oracle: a
+    /// comparison sort on `(descending degree, id)`, then one serial
+    /// gather and per-list sort.
+    fn reference_degree_order(graph: &CsrGraph) -> (CsrGraph, VertexPermutation) {
+        let n = graph.num_vertices();
+        if n == 0 || graph.num_edges() == 0 {
+            let perm = compose(graph.permutation(), &VertexPermutation::identity(n));
+            let mut out = graph.clone();
+            out.set_permutation(Some(perm.clone()));
+            return (out, perm);
+        }
+        let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+        order.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+        let mut forward = vec![0 as VertexId; n];
+        for (new_id, &old) in order.iter().enumerate() {
+            forward[old as usize] = new_id as VertexId;
+        }
+        let mut offsets = vec![0u64];
+        let mut neighbors = Vec::new();
+        for &old in &order {
+            let start = neighbors.len();
+            neighbors.extend(graph.neighbors(old).iter().map(|&nb| forward[nb as usize]));
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len() as u64);
+        }
+        let step = VertexPermutation {
+            forward: forward.into_boxed_slice(),
+            inverse: order.into_boxed_slice(),
+        };
+        let perm = compose(graph.permutation(), &step);
+        let mut out = CsrGraph::from_parts(offsets, neighbors);
+        out.set_permutation(Some(perm.clone()));
+        (out, perm)
+    }
+
+    /// A CSR graph from per-vertex neighbor lists, kept as given (unsorted,
+    /// repeated, self loops).
+    fn from_lists(lists: &[Vec<VertexId>]) -> CsrGraph {
+        let mut offsets = vec![0u64];
+        for list in lists {
+            offsets.push(offsets.last().unwrap() + list.len() as u64);
+        }
+        CsrGraph::from_parts(offsets, lists.concat())
+    }
+
+    /// Graphs that stress the lane split: skewed, one list holding most
+    /// edges, a degree-0 tail, fewer vertices than lanes, an asymmetric
+    /// multigraph, and the degenerate empty and edgeless graphs.
+    fn lane_split_graphs() -> Vec<(&'static str, CsrGraph)> {
+        let mut rng = rng_from_seed(9);
+        let multigraph: Vec<Vec<VertexId>> = (0..60)
+            .map(|_| {
+                let degree = rng.random_range(0..12u32);
+                (0..degree).map(|_| rng.random_range(0..60u32)).collect()
+            })
+            .collect();
+        // Hub 0 points at every leaf twice; each leaf points back once.
+        let mut star = vec![(1..40).chain(1..40).rev().collect::<Vec<VertexId>>()];
+        star.extend((1..40).map(|_| vec![0]));
+        // Vertices 30.. have no edges in either direction.
+        let mut tail: Vec<Vec<VertexId>> =
+            (0..30).map(|v| vec![(v + 1) % 30, (v + 7) % 30]).collect();
+        tail.extend((0..25).map(|_| Vec::new()));
+        vec![
+            (
+                "rmat",
+                rmat(&RmatConfig::paper(10, 8), &mut rng_from_seed(21)),
+            ),
+            ("star", from_lists(&star)),
+            ("degree-0 tail", from_lists(&tail)),
+            ("n < lanes", from_lists(&[vec![2, 1], vec![], vec![0]])),
+            ("one vertex", from_lists(&[vec![0, 0, 0]])),
+            ("multigraph", from_lists(&multigraph)),
+            ("empty", CsrGraph::empty(0)),
+            ("edgeless", CsrGraph::empty(64)),
+        ]
+    }
+
+    #[test]
+    fn lane_split_matches_the_serial_construction() {
+        for (name, g) in lane_split_graphs() {
+            let (want, want_perm) = reference_degree_order(&g);
+            let (want2, want_perm2) = reference_degree_order(&want);
+            for lanes in 1..=5 {
+                let (got, got_perm) = degree_order_on(&g, lanes);
+                assert_eq!(got, want, "{name}, {lanes} lanes: graph differs");
+                assert_eq!(
+                    got_perm, want_perm,
+                    "{name}, {lanes} lanes: permutation differs"
+                );
+                // Relabeling the relabeled graph composes the permutations.
+                let (got2, got_perm2) = degree_order_on(&got, 6 - lanes);
+                assert_eq!(got2, want2, "{name}, {lanes} lanes: second pass differs");
+                assert_eq!(
+                    got_perm2, want_perm2,
+                    "{name}, {lanes} lanes: composition differs"
+                );
+            }
+        }
     }
 
     #[test]
