@@ -2137,6 +2137,62 @@ mod tests {
         assert!(steps >= 2, "only {steps} steps traced");
     }
 
+    /// With one lane nothing races, so the order in which Phase I reads
+    /// the frontier fixes every parent: the first `(parent, v)` entry of a
+    /// bin claims `v`. A 4-entry TLB gives the scale-12 adjacency 16 page
+    /// windows, so rearrangement really reorders each top-down frontier.
+    /// The hashes pin which frontiers are rearranged before a top-down
+    /// Phase I reads them; a frontier that only a bottom-up level reads
+    /// leaves no trace, because bottom-up takes each vertex's first
+    /// frontier neighbor in neighbor order.
+    #[test]
+    fn one_lane_parents_are_pinned_under_rearrangement() {
+        let g = rmat(&RmatConfig::paper(12, 8), &mut rng_from_seed(12));
+        let topo = Topology {
+            tlb_entries: 4,
+            ..Topology::synthetic(1, 1)
+        };
+        let sources: Vec<VertexId> = (0..4)
+            .map(|k| bfs_graph::stats::nth_non_isolated(&g, k * 97).unwrap())
+            .collect();
+        let hash_parents = |direction| {
+            let engine = BfsEngine::new(
+                &g,
+                topo,
+                BfsOptions {
+                    direction,
+                    ..Default::default()
+                },
+            );
+            assert!(engine.options().rearrange);
+            // FNV-1a over every source's parent array.
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut dirs = Vec::new();
+            for &s in &sources {
+                let out = engine.run(s);
+                validate_bfs_tree(&g, s, &out.depths, &out.parents).unwrap();
+                for p in out.parents {
+                    for b in p.to_le_bytes() {
+                        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+                dirs.extend(out.stats.step_directions);
+            }
+            (h, dirs)
+        };
+        let (top_down, _) = hash_parents(DirectionPolicy::ForcedTopDown);
+        let (auto, dirs) = hash_parents(DirectionPolicy::auto());
+        assert!(
+            dirs.contains(&Direction::BottomUp) && dirs.contains(&Direction::TopDown),
+            "auto must mix the kernels: {dirs:?}"
+        );
+        assert_eq!(
+            top_down, 7592883947906131867,
+            "forced top-down parents hash"
+        );
+        assert_eq!(auto, 6656717932735711046, "auto parents hash");
+    }
+
     /// Plans `offsets` for `sockets × lanes` under `scheduling`.
     fn plan(
         offsets: &[u64],
