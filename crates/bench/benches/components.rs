@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use bfs_core::balance::{divide_even, Stream};
 use bfs_core::dp::DepthParent;
-use bfs_core::frontier::rearrange_frontier;
+use bfs_core::frontier::{rearrange_frontier, RearrangeScratch};
 use bfs_core::vis::{Vis, VisScheme};
 use bfs_graph::gen::uniform::uniform_random_directed;
 use bfs_graph::rng::rng_from_seed;
@@ -22,7 +22,7 @@ fn bench_rearrange(c: &mut Criterion) {
     let mut group = c.benchmark_group("rearrange");
     group.throughput(Throughput::Elements(frontier.len() as u64));
     group.bench_function("histogram_scatter_32k", |b| {
-        let mut scratch = Vec::new();
+        let mut scratch = RearrangeScratch::default();
         b.iter_batched(
             || frontier.clone(),
             |mut f| {

@@ -4,7 +4,7 @@
 //!
 //! The cold series pays the full per-query setup (thread spawn + pin,
 //! O(|V|) `DP`/`VIS` zeroing, buffer growth); the warm series pays a worker
-//! wake plus an O(touched) reset. The gap between them is the tentpole
+//! wake plus an O(1) `DP` and one-pass `VIS` reset. The gap between them is the tentpole
 //! measurement of the persistent-session work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

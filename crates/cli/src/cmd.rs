@@ -24,6 +24,7 @@ use bfs_graph::CsrGraph;
 use bfs_memsim::{BandwidthSpec, MachineConfig};
 use bfs_metrics::{AttributionContext, AttributionReport, MetricsSnapshot};
 use bfs_model::{predict, GraphParams, MachineSpec};
+use bfs_platform::hugepage::{HugepageUnavailable, HUGE_MIN_BYTES};
 use bfs_platform::Topology;
 use bfs_trace::{JsonlSink, RingSink, TeeSink, TraceEvent, TraceSink};
 use serde::Serialize;
@@ -231,12 +232,33 @@ pub(crate) fn prepare_graph(
         (g, None)
     };
     if o.has("hugepages") && !g.migrate_to_hugepages() {
+        let qualified = [
+            std::mem::size_of_val(g.offsets()),
+            std::mem::size_of_val(g.raw_neighbors()),
+        ]
+        .iter()
+        .any(|&bytes| bytes >= HUGE_MIN_BYTES);
         println!(
             "hugepages: CSR stays on plain pages ({})",
-            bfs_platform::hugepage::availability_string()
+            plain_pages_reason(bfs_platform::hugepage::availability(), qualified)
         );
     }
     (g, original)
+}
+
+/// Why `--hugepages` left the CSR on plain pages, from the host probe and
+/// whether any CSR array reached [`HUGE_MIN_BYTES`]: the host's reason
+/// when it refuses hugepages, else the size floor when no array reached
+/// it, else a refusal of the mapping itself.
+fn plain_pages_reason(host: Result<(), HugepageUnavailable>, qualified: bool) -> String {
+    match host {
+        Err(reason) => format!("unavailable: {reason}"),
+        Ok(()) if !qualified => format!(
+            "every array is below the {} KiB hugepage floor",
+            HUGE_MIN_BYTES / 1024
+        ),
+        Ok(()) => "available, but the hugepage mapping was refused".to_string(),
+    }
 }
 
 /// The `hugepages` provenance string for reports: `"enabled"`,
@@ -817,6 +839,26 @@ mod tests {
             .to_str()
             .unwrap()
             .to_string()
+    }
+
+    #[test]
+    fn plain_pages_reason_names_the_size_floor_or_the_host() {
+        // The host allows hugepages, but no CSR array reached the floor.
+        assert_eq!(
+            plain_pages_reason(Ok(()), false),
+            "every array is below the 256 KiB hugepage floor"
+        );
+        // The host refuses: its reason, whatever the sizes.
+        let refused = HugepageUnavailable::ThpDisabled {
+            mode: Some("always madvise [never]".into()),
+        };
+        for qualified in [false, true] {
+            assert_eq!(
+                plain_pages_reason(Err(refused.clone()), qualified),
+                format!("unavailable: {refused}")
+            );
+        }
+        assert!(plain_pages_reason(Ok(()), true).contains("refused"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The packed depth+parent (`DP`) array, with epoch-stamped O(touched) reset.
+//! The packed depth+parent (`DP`) array, with an epoch-stamped O(1) reset.
 //!
 //! §III-B: "Our algorithm stores the *depth* and *parent* of each vertex
 //! together in an array, denoted by DP — initialized to INF." §III-A:
@@ -32,6 +32,7 @@
 //! `|V|` (capped at [`MAX_EPOCH_BITS`]); depths can never exceed `|V| − 1`,
 //! so the depth field only needs `ceil(log2(|V|))` bits.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bfs_platform::MaybeHuge;
@@ -250,6 +251,23 @@ impl DepthParent {
         self.is_current(w).then(|| self.unpack(w))
     }
 
+    /// [`get`](Self::get) of every id in `ids`, in order. The word slice is
+    /// taken once, so a walk over a range pays no per-id bounds check and
+    /// no dispatch on the array's backing store.
+    ///
+    /// # Panics
+    /// Panics if `ids` is out of range.
+    #[inline]
+    pub fn decode_range(
+        &self,
+        ids: Range<usize>,
+    ) -> impl Iterator<Item = Option<(u32, VertexId)>> + '_ {
+        self.words[ids].iter().map(|w| {
+            let w = w.load(Ordering::Relaxed);
+            self.is_current(w).then(|| self.unpack(w))
+        })
+    }
+
     /// Depth of `v` (INF_DEPTH if unassigned this run).
     #[inline]
     pub fn depth(&self, v: VertexId) -> u32 {
@@ -324,6 +342,19 @@ mod tests {
         let (d, p) = dp.into_arrays();
         assert_eq!(d, vec![0, INF_DEPTH, 1]);
         assert_eq!(p, vec![0, VertexId::MAX, 0]);
+    }
+
+    #[test]
+    fn decode_range_matches_get() {
+        let mut dp = DepthParent::new(6);
+        dp.set(1, 2, 0);
+        dp.advance_epoch();
+        dp.set(2, 1, 5);
+        dp.set(5, 0, 5);
+        let want: Vec<_> = (1..6).map(|v| dp.get(v)).collect();
+        assert_eq!(dp.decode_range(1..6).collect::<Vec<_>>(), want);
+        assert_eq!(want[0], None, "a stale stamp decodes as unassigned");
+        assert_eq!(dp.decode_range(3..3).count(), 0);
     }
 
     #[test]

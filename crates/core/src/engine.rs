@@ -36,7 +36,7 @@ use crate::direction::{
     count_switches, BitmapWriter, DecisionInputs, Direction, DirectionPolicy, FrontierBitmap,
 };
 use crate::dp::{DepthParent, INF_DEPTH};
-use crate::frontier::rearrange_frontier;
+use crate::frontier::{rearrange_frontier, RearrangeScratch};
 use crate::pbv::{decode_window, BinGeometry, BinSet, PbvEncoding, ResolvedEncoding};
 use crate::prefetch::{prefetch_slice_element, DEFAULT_PREFETCH_DISTANCE};
 use crate::stats::TraversalStats;
@@ -268,8 +268,8 @@ struct StepScratch {
 /// A fresh [`BfsEngine::run`] builds one of these, uses it once, and drops
 /// it. A [`crate::session::BfsSession`] keeps one alive: between runs
 /// [`prepare`](Self::prepare) resets `DP` in O(1) (epoch bump), `VIS` in
-/// O(touched vertices), and the frontier/bin buffers in O(threads) — no
-/// O(|V|) zeroing and no allocation on the warm path.
+/// one sequential pass over its `n/8` bytes, and the frontier/bin buffers
+/// in O(threads) — no allocation on the warm path.
 ///
 /// Each BFS level is written exactly once, as one entry of the leader's
 /// `levels` record; the run's per-level outputs (frontier sizes, step
@@ -280,7 +280,7 @@ pub(crate) struct RunState {
     pub(crate) bv_cur: ThreadOwned<Vec<VertexId>>,
     pub(crate) bv_next: ThreadOwned<Vec<VertexId>>,
     pub(crate) bins: ThreadOwned<BinSet>,
-    pub(crate) scratch: ThreadOwned<Vec<VertexId>>,
+    pub(crate) scratch: ThreadOwned<RearrangeScratch>,
     step_scratch: ThreadOwned<StepScratch>,
     /// Dense frontier bits for bottom-up levels, two halves (zero-sized
     /// for forced-top-down engines). A bottom-up level reads one half and
@@ -301,30 +301,18 @@ pub(crate) struct RunState {
     /// BFS level (DESIGN.md §15). Capacity is kept across runs, so warm
     /// pushes never allocate.
     levels: ThreadOwned<Vec<LevelDigest>>,
-    /// Per-thread log of every vertex the run enqueued (sessions only):
-    /// exactly the set whose VIS storage the next `prepare` must clear.
-    touched: ThreadOwned<Vec<VertexId>>,
-    /// Whether the run loop records enqueued vertices into `touched`.
-    track_touched: bool,
     runs: u64,
-    last_source: Option<VertexId>,
 }
 
 impl RunState {
-    /// Fresh state sized for `engine`. `track_touched` enables the touched
-    /// log a session needs for its O(touched) VIS reset; one-shot runs skip
-    /// the bookkeeping.
-    pub(crate) fn new(engine: &BfsEngine<'_>, track_touched: bool) -> Self {
-        Self::with_epoch_bits(engine, track_touched, None)
+    /// Fresh state sized for `engine`.
+    pub(crate) fn new(engine: &BfsEngine<'_>) -> Self {
+        Self::with_epoch_bits(engine, None)
     }
 
     /// [`RunState::new`] with an explicit `DP` stamp width (tests use tiny
     /// widths to exercise epoch wraparound).
-    pub(crate) fn with_epoch_bits(
-        engine: &BfsEngine<'_>,
-        track_touched: bool,
-        epoch_bits: Option<u32>,
-    ) -> Self {
+    pub(crate) fn with_epoch_bits(engine: &BfsEngine<'_>, epoch_bits: Option<u32>) -> Self {
         let n = engine.graph.num_vertices();
         let nthreads = engine.topology.total_threads();
         let huge = engine.hugepages.active();
@@ -339,7 +327,7 @@ impl RunState {
             bins: ThreadOwned::from_fn(nthreads, |_| {
                 BinSet::new(engine.geometry.n_bins, engine.encoding)
             }),
-            scratch: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
+            scratch: ThreadOwned::from_fn(nthreads, |_| RearrangeScratch::default()),
             step_scratch: ThreadOwned::from_fn(nthreads, |_| StepScratch::default()),
             frontier_bitmap: FrontierBitmap::new_backed(
                 if engine.options.direction.may_go_bottom_up() {
@@ -352,10 +340,7 @@ impl RunState {
             unvisited: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
             unvisited_next: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
             levels: ThreadOwned::from_fn(1, |_| Vec::new()),
-            touched: ThreadOwned::from_fn(nthreads, |_| Vec::new()),
-            track_touched,
             runs: 0,
-            last_source: None,
         }
     }
 
@@ -371,16 +356,16 @@ impl RunState {
         self.levels.read(0, |levels| f(levels))
     }
 
-    /// Sum of frontier/bin/scratch/touched buffer capacities in `u32`
-    /// words — the high-water storage the session retains across runs.
+    /// Sum of frontier/bin/scratch/unclaimed-list buffer capacities in
+    /// `u32` words — the high-water storage the session retains across
+    /// runs.
     pub(crate) fn buffer_capacity_words(&self) -> usize {
         let mut words = 0;
         for t in 0..self.bv_cur.len() {
             words += self.bv_cur.read(t, Vec::capacity);
             words += self.bv_next.read(t, Vec::capacity);
             words += self.bins.read(t, BinSet::capacity_words);
-            words += self.scratch.read(t, Vec::capacity);
-            words += self.touched.read(t, Vec::capacity);
+            words += self.scratch.read(t, RearrangeScratch::capacity_words);
             words += self.unvisited.read(t, Vec::capacity);
             words += self.unvisited_next.read(t, Vec::capacity);
         }
@@ -401,10 +386,7 @@ impl RunState {
             b.shrink();
         }
         for s in self.scratch.iter_mut() {
-            *s = Vec::new();
-        }
-        for t in self.touched.iter_mut() {
-            *t = Vec::new();
+            *s = RearrangeScratch::default();
         }
         for u in self.unvisited.iter_mut() {
             *u = Vec::new();
@@ -416,23 +398,14 @@ impl RunState {
 
     /// Resets whatever the previous run dirtied and seeds `source`: `DP` by
     /// epoch bump (O(1), with the documented periodic full re-zero on stamp
-    /// wraparound), `VIS` by clearing exactly the storage the previous run's
-    /// enqueued vertices cover (O(touched)), buffers by `clear` (capacity
-    /// kept).
+    /// wraparound), `VIS` by zeroing it in one pass (`n/8` bytes, a few
+    /// hundred KiB even at 2^21 vertices, so cheaper than logging every
+    /// enqueue in the level loop to clear only those), buffers by `clear`
+    /// (capacity kept).
     pub(crate) fn prepare(&mut self, source: VertexId) {
         if self.runs > 0 {
             self.dp.advance_epoch();
-            // Split borrow: VIS is cleared from the touched lists in place.
-            let Self { vis, touched, .. } = self;
-            for list in touched.iter_mut() {
-                vis.clear_touched(list);
-                list.clear();
-            }
-            // The source is marked by `prepare` itself, never enqueued, so
-            // the touched lists do not cover it.
-            if let Some(s) = self.last_source.take() {
-                self.vis.clear_touched(&[s]);
-            }
+            self.vis.reset();
             for f in self.bv_cur.iter_mut() {
                 f.clear();
             }
@@ -442,7 +415,6 @@ impl RunState {
             self.levels.with_mut(0, Vec::clear);
         }
         self.runs += 1;
-        self.last_source = Some(source);
         self.dp.set(source, 0, source);
         self.vis.mark(source);
         self.bv_cur.with_mut(0, |f| f.push(source));
@@ -592,7 +564,7 @@ impl<'g> BfsEngine<'g> {
     /// # Panics
     /// Panics if `source` is out of range.
     pub fn run_traced(&self, source: VertexId, sink: &dyn TraceSink) -> BfsOutput {
-        let mut state = RunState::new(self, false);
+        let mut state = RunState::new(self);
         let mut out = BfsOutput::default();
         self.run_with_state(&mut state, source, None, sink, "engine", &mut out);
         out
@@ -645,7 +617,6 @@ impl<'g> BfsEngine<'g> {
         // The SPMD region only needs shared access; per-thread mutation goes
         // through the `ThreadOwned` cells.
         let state = &*state;
-        let track_touched = state.track_touched;
 
         // Frontier-size and frontier-out-degree accumulators, double-
         // buffered by step parity (reset happens a full barrier before the
@@ -696,11 +667,22 @@ impl<'g> BfsEngine<'g> {
                 visited: 0,
                 traversed: 0,
             };
+            // The direction policy's inputs after the level whose counts
+            // went into `slot` (slot 0 before step 1: the source frontier).
+            let inputs = |slot: usize| DecisionInputs {
+                frontier_vertices: totals[slot].load(Ordering::Relaxed),
+                frontier_edges: edge_totals[slot].load(Ordering::Relaxed),
+                unexplored_edges: self
+                    .graph
+                    .num_edges()
+                    .saturating_sub(explored.load(Ordering::Relaxed)),
+                total_vertices: n as u64,
+            };
             // Direction of the level being executed. Every thread evaluates
-            // the same pure decision on accumulators that are stable between
-            // the previous step's last barrier and this step's first write,
-            // so all threads agree without extra communication.
-            let mut dir = Direction::TopDown;
+            // the same pure decision, each time after the previous level's
+            // closing barrier and before anyone writes the accumulators
+            // again, so all threads agree without extra communication.
+            let mut dir = self.options.direction.decide(Direction::TopDown, inputs(0));
             // Bitmap half holding the current frontier on bottom-up levels;
             // `handed_off` when the previous level was bottom-up and wrote
             // it, so no sparse → dense conversion is needed (and a top-down
@@ -710,24 +692,14 @@ impl<'g> BfsEngine<'g> {
             // Whether the lanes' `unvisited` lists are this run's (set by
             // its first bottom-up level).
             let mut listed = false;
+            // Time this lane spent rearranging the frontier the current
+            // level reads; it is recorded on this level (see below).
+            let mut rearranged = Duration::ZERO;
             let mut step: u32 = 1;
             loop {
                 assert!(
                     step <= n as u32 + 1,
                     "BFS failed to terminate after {step} steps"
-                );
-                let prev_slot = ((step & 1) ^ 1) as usize;
-                dir = self.options.direction.decide(
-                    dir,
-                    DecisionInputs {
-                        frontier_vertices: totals[prev_slot].load(Ordering::Relaxed),
-                        frontier_edges: edge_totals[prev_slot].load(Ordering::Relaxed),
-                        unexplored_edges: self
-                            .graph
-                            .num_edges()
-                            .saturating_sub(explored.load(Ordering::Relaxed)),
-                        total_vertices: n as u64,
-                    },
                 );
                 if tid == 0 {
                     totals[(step & 1) as usize].store(0, Ordering::Relaxed);
@@ -820,37 +792,7 @@ impl<'g> BfsEngine<'g> {
                     Direction::TopDown => {}
                 }
 
-                let mut dr = Duration::ZERO;
-                // Bottom-up output is built by an ascending vertex scan, so
-                // it is already page-window sorted; rearranging would be a
-                // no-op pass.
-                if self.options.rearrange && dir == Direction::TopDown {
-                    let pr = Instant::now();
-                    state.scratch.with_mut(tid, |tmp| {
-                        state.bv_next.with_mut(tid, |f| {
-                            rearrange_frontier(
-                                f,
-                                self.graph,
-                                self.topology.page_bytes,
-                                self.topology.tlb_entries,
-                                tmp,
-                            );
-                        });
-                    });
-                    dr = pr.elapsed();
-                    c.rearrange += dr;
-                    if let Some(h) = hw.as_mut() {
-                        h.sample(3);
-                    }
-                }
-                let mine = state.bv_next.with_mut(tid, |f| {
-                    if track_touched {
-                        // Log the vertices this run marks so the next
-                        // `prepare` can clear VIS in O(touched).
-                        state.touched.with_mut(tid, |t| t.extend_from_slice(f));
-                    }
-                    f.len() as u64
-                });
+                let mine = state.bv_next.read(tid, |f| f.len() as u64);
                 // Out-degree sum of this thread's enqueues: the next level's
                 // `m_f` and the explored-edge running total. Only the
                 // adaptive policy reads these, so forced policies skip the
@@ -863,7 +805,7 @@ impl<'g> BfsEngine<'g> {
                     0
                 };
                 c.enqueued += mine;
-                mw.observe(MetricHist::StepNs, (d1 + d2 + dr).as_nanos() as u64);
+                mw.observe(MetricHist::StepNs, (d1 + d2 + rearranged).as_nanos() as u64);
                 // Unconditional (six stores per thread per step): the
                 // leader's level digest reads these even when full
                 // tracing is off.
@@ -871,7 +813,7 @@ impl<'g> BfsEngine<'g> {
                     *s = StepScratch {
                         phase1_ns: d1.as_nanos() as u64,
                         phase2_ns: d2.as_nanos() as u64,
-                        rearrange_ns: dr.as_nanos() as u64,
+                        rearrange_ns: rearranged.as_nanos() as u64,
                         enqueued: mine,
                         edge_checks: c.edge_checks - checks_before,
                         scattered: c.scattered - scattered_before,
@@ -916,6 +858,44 @@ impl<'g> BfsEngine<'g> {
                         );
                     }
                 }
+                // The counts the next level's decision reads are final
+                // here, so each lane decides now and rearranges its own new
+                // frontier only for a top-down Phase I (§III-B3(b): the
+                // order makes Phase I's `Adj` walk TLB-friendly). A
+                // bottom-up level only ORs the frontier into its bitmap,
+                // and a bottom-up level's output comes from an ascending
+                // scan, already page-window sorted. The time is recorded on
+                // the next level, whose Phase I reads the frontier.
+                let next_dir = self
+                    .options
+                    .direction
+                    .decide(dir, inputs((step & 1) as usize));
+                rearranged = Duration::ZERO;
+                if self.options.rearrange
+                    && dir == Direction::TopDown
+                    && next_dir == Direction::TopDown
+                {
+                    if let Some(h) = hw.as_mut() {
+                        h.resync();
+                    }
+                    let pr = Instant::now();
+                    state.scratch.with_mut(tid, |tmp| {
+                        state.bv_next.with_mut(tid, |f| {
+                            rearrange_frontier(
+                                f,
+                                self.graph,
+                                self.topology.page_bytes,
+                                self.topology.tlb_entries,
+                                tmp,
+                            );
+                        });
+                    });
+                    rearranged = pr.elapsed();
+                    c.rearrange += rearranged;
+                    if let Some(h) = hw.as_mut() {
+                        h.sample(3);
+                    }
+                }
                 // Zero this lane's stripe of the half nobody reads any
                 // more: every reader is past the barrier above, and the
                 // next write into it starts after the barrier below. A
@@ -953,10 +933,12 @@ impl<'g> BfsEngine<'g> {
                 if total == 0 {
                     break;
                 }
+                dir = next_dir;
                 step += 1;
             }
             c.levels_time = t0.elapsed();
             // `DP` is final: nobody writes it after the last barrier.
+            let pe = Instant::now();
             (c.visited, c.traversed) = materialize(
                 self.graph,
                 &state.dp,
@@ -965,6 +947,7 @@ impl<'g> BfsEngine<'g> {
                 depths,
                 parents,
             );
+            let epilogue = pe.elapsed();
             // Flush the region's thread-scope totals into this thread's
             // metrics slot: ten plain adds, once per query.
             mw.add(Metric::Phase1Ns, c.phase1.as_nanos() as u64);
@@ -976,6 +959,7 @@ impl<'g> BfsEngine<'g> {
             mw.add(Metric::BinEntries, c.bin_entries);
             mw.add(Metric::EdgeChecks, c.edge_checks);
             mw.add(Metric::Enqueued, c.enqueued);
+            mw.add(Metric::EpilogueNs, epilogue.as_nanos() as u64);
             // Hardware counters: 16 more adds when sampling ran, through
             // the same unsynchronized per-slot path.
             if let Some(h) = &hw {
@@ -1483,19 +1467,41 @@ fn bottom_up_plan(
     }
 }
 
+/// The answer of an id the run did not reach: depth and parent.
+const UNREACHED: (u32, VertexId) = (INF_DEPTH, VertexId::MAX);
+
 /// Internal ids per epilogue chunk.
 const EPILOGUE_CHUNK: usize = 8192;
+
+/// How many ids ahead the relabeled epilogue prefetches the answer lines
+/// it will write. Chosen from an 8/16/32 sweep on RMAT 21 (EXPERIMENTS.md,
+/// "A warm query pays only for its traversal").
+const EPILOGUE_PREFETCH_DISTANCE: usize = 16;
 
 /// The run's epilogue on one lane: claims chunks of [`EPILOGUE_CHUNK`]
 /// consecutive internal ids from `cursor` until `0..n` is used up, reads
 /// each `DP` word once, writes the vertex's depth and parent (through the
 /// inverse map; unreached: `INF_DEPTH` / `VertexId::MAX`) at its external
 /// index, and returns the lane's `(visited, traversed)`, traversed being
-/// the internal-graph degree sum. Ranging over internal ids keeps every
-/// read sequential and scatters only the writes; ranging over external ids
-/// measured slower. Claiming chunks rather than taking a fixed `n/T` range
-/// keeps the lanes even although degree-ordered relabeling puts the
-/// reached, heavy ids at the front.
+/// the internal-graph degree sum. Claiming chunks rather than taking a
+/// fixed `n/T` range keeps the lanes even although degree-ordered
+/// relabeling puts the reached, heavy ids at the front.
+///
+/// Each chunk takes its `DP` words ([`DepthParent::decode_range`]), its
+/// `offsets` window and its inverse-map slice once, so the per-id loop
+/// runs no bounds check and no dispatch on a backing store. Ranging over
+/// internal ids keeps every read sequential and scatters only the writes;
+/// on a relabeled graph each write lands on a random line of `depths` and
+/// `parents`, so the loop prefetches the two lines of the id
+/// [`EPILOGUE_PREFETCH_DISTANCE`] slots ahead (§III-C(3)). On RMAT 21 the
+/// sequential path is already bandwidth-bound, so hoisting and prefetch
+/// together took about 1–2 ms (7–10%) off the epilogue. Two alternatives
+/// measured worse on that graph: a gather over external ids (random `DP` and inverse-map reads
+/// instead of random writes) was slower than the prefetched scatter, and
+/// a two-pass scatter that first binned the entries by 128 Ki-id external
+/// window cut the epilogue by only 15–25% while its 25 MB of bins added
+/// about 2 ms to the next query's traversal. The unrelabeled path writes
+/// sequentially and needs no prefetch.
 ///
 /// The lanes' writes never overlap: each chunk is claimed by exactly one
 /// `fetch_add`, so the chunks partition `0..n`, and the inverse map of a
@@ -1513,26 +1519,48 @@ fn materialize(
     parents: &[AtomicU32],
 ) -> (u64, u64) {
     let n = dp.len();
+    let offsets = graph.offsets();
     let inverse = perm.map(VertexPermutation::inverse);
-    let external = |v: VertexId| inverse.map_or(v, |inv| inv[v as usize]);
     let (mut visited, mut traversed) = (0u64, 0u64);
+    // Counts a reached id and passes its entry through.
+    let mut count = |entry: Option<(u32, VertexId)>, degree: u64| {
+        if entry.is_some() {
+            visited += 1;
+            traversed += degree;
+        }
+        entry
+    };
     loop {
         let start = cursor.fetch_add(EPILOGUE_CHUNK, Ordering::Relaxed);
         if start >= n {
             break;
         }
-        for v in start as VertexId..(start + EPILOGUE_CHUNK).min(n) as VertexId {
-            let (depth, parent) = match dp.get(v) {
-                Some((depth, parent)) => {
-                    visited += 1;
-                    traversed += graph.degree(v) as u64;
-                    (depth, external(parent))
+        let ids = start..(start + EPILOGUE_CHUNK).min(n);
+        let degrees = offsets[ids.start..=ids.end].windows(2).map(|w| w[1] - w[0]);
+        let entries = dp.decode_range(ids.clone()).zip(degrees);
+        match inverse {
+            None => {
+                let cells = depths[ids.clone()].iter().zip(&parents[ids]);
+                for ((entry, degree), (d, p)) in entries.zip(cells) {
+                    let (depth, parent) = count(entry, degree).unwrap_or(UNREACHED);
+                    d.store(depth, Ordering::Relaxed);
+                    p.store(parent, Ordering::Relaxed);
                 }
-                None => (INF_DEPTH, VertexId::MAX),
-            };
-            let ext = external(v) as usize;
-            depths[ext].store(depth, Ordering::Relaxed);
-            parents[ext].store(parent, Ordering::Relaxed);
+            }
+            Some(inv) => {
+                let external = &inv[ids];
+                let mut ahead = external.iter().skip(EPILOGUE_PREFETCH_DISTANCE);
+                for ((entry, degree), &ext) in entries.zip(external) {
+                    if let Some(&next) = ahead.next() {
+                        prefetch_slice_element(depths, next as usize);
+                        prefetch_slice_element(parents, next as usize);
+                    }
+                    let (depth, parent) = count(entry, degree)
+                        .map_or(UNREACHED, |(depth, parent)| (depth, inv[parent as usize]));
+                    depths[ext as usize].store(depth, Ordering::Relaxed);
+                    parents[ext as usize].store(parent, Ordering::Relaxed);
+                }
+            }
         }
     }
     (visited, traversed)
@@ -1968,7 +1996,7 @@ mod tests {
                             ..Default::default()
                         },
                     );
-                    let mut state = RunState::new(&engine, true);
+                    let mut state = RunState::new(&engine);
                     assert_eq!(state.frontier_bitmap.footprint(), 2 * n.div_ceil(64) * 8);
                     let mut out = BfsOutput::default();
                     for src in [0, n / 2, n - 1] {
@@ -1987,7 +2015,7 @@ mod tests {
         // Forced-top-down engines pay nothing for the bitmap.
         let g = uniform_random(1000, 6, &mut rng_from_seed(3));
         let td = BfsEngine::new(&g, Topology::synthetic(2, 2), BfsOptions::default());
-        assert_eq!(RunState::new(&td, false).frontier_bitmap.footprint(), 0);
+        assert_eq!(RunState::new(&td).frontier_bitmap.footprint(), 0);
     }
 
     #[test]
@@ -2062,6 +2090,7 @@ mod tests {
         assert!(snap.total(Counter::Phase1Ns) > 0);
         assert!(snap.total(Counter::Phase2Ns) > 0);
         assert!(snap.total(Counter::QueryNs) > 0);
+        assert!(snap.total(Counter::EpilogueNs) > 0);
         // Per-step histogram: every thread observes once per loop iteration
         // (the productive steps plus the final empty-frontier round).
         assert_eq!(
@@ -2098,6 +2127,46 @@ mod tests {
             assert!(s.scattered.is_some(), "step {} lacks scattered", s.step);
         }
         assert!(steps.iter().any(|s| s.scattered.unwrap() > 0));
+    }
+
+    /// A frontier is rearranged only for a top-down Phase I, and the time
+    /// lands on the level that reads it: never on step 1, on a bottom-up
+    /// level, or on the first top-down level after a bottom-up one.
+    #[test]
+    fn rearrangement_is_recorded_on_the_top_down_level_that_reads_it() {
+        use bfs_trace::RingSink;
+        let g = rmat(&RmatConfig::paper(12, 8), &mut rng_from_seed(12));
+        let src = bfs_graph::stats::nth_non_isolated(&g, 0).unwrap();
+        let topo = Topology {
+            tlb_entries: 4,
+            ..Topology::synthetic(1, 2)
+        };
+        for direction in [DirectionPolicy::auto(), DirectionPolicy::ForcedBottomUp] {
+            let engine = BfsEngine::new(
+                &g,
+                topo,
+                BfsOptions {
+                    direction,
+                    ..Default::default()
+                },
+            );
+            let ring = RingSink::new(4096);
+            let out = engine.run_traced(src, &ring);
+            let dirs = &out.stats.step_directions;
+            for e in ring.snapshot() {
+                let TraceEvent::Step(s) = e else { continue };
+                let i = s.step as usize - 1;
+                let reads_rearranged =
+                    i > 0 && dirs[i] == Direction::TopDown && dirs[i - 1] == Direction::TopDown;
+                if !reads_rearranged {
+                    assert!(
+                        s.threads.iter().all(|t| t.rearrange_ns == 0),
+                        "step {} ({dirs:?}) recorded a rearrangement",
+                        s.step
+                    );
+                }
+            }
+        }
     }
 
     /// Phase I puts each neighbor in the bin its id maps to. Phase II drains

@@ -42,15 +42,32 @@ pub fn histogram_bins(graph: &CsrGraph, page_bytes: u64, tlb_entries: u64) -> us
     pages.div_ceil(tlb_entries.max(1)).max(1) as usize
 }
 
-/// Stable one-pass counting-sort of `frontier` by adjacency page window.
-/// `scratch` is the reusable temporary array (the paper's extra 8 bytes per
-/// vertex of rearrangement traffic); it is resized as needed.
+/// The retained buffers of [`rearrange_frontier`]: the temporary array
+/// (the paper's extra 8 bytes per vertex of rearrangement traffic) and the
+/// page-window histogram. Both keep their capacity across calls, so a warm
+/// rearrangement allocates nothing.
+#[derive(Debug, Default)]
+pub struct RearrangeScratch {
+    entries: Vec<VertexId>,
+    hist: Vec<usize>,
+}
+
+impl RearrangeScratch {
+    /// Retained capacity in `u32` words (a histogram count is a `usize`).
+    pub fn capacity_words(&self) -> usize {
+        self.entries.capacity()
+            + self.hist.capacity() * (std::mem::size_of::<usize>() / std::mem::size_of::<u32>())
+    }
+}
+
+/// Stable one-pass counting-sort of `frontier` by adjacency page window,
+/// through `scratch`, whose buffers are resized as needed.
 pub fn rearrange_frontier(
     frontier: &mut [VertexId],
     graph: &CsrGraph,
     page_bytes: u64,
     tlb_entries: u64,
-    scratch: &mut Vec<VertexId>,
+    scratch: &mut RearrangeScratch,
 ) -> RearrangeInfo {
     let bins = histogram_bins(graph, page_bytes, tlb_entries);
     let info = RearrangeInfo {
@@ -63,25 +80,26 @@ pub fn rearrange_frontier(
     let pages = graph.adjacency_bytes().div_ceil(page_bytes).max(1);
     let pages_per_window = pages.div_ceil(bins as u64).max(1);
 
-    // Pass 1: histogram.
-    let mut hist = vec![0usize; bins + 1];
+    let RearrangeScratch { entries, hist } = scratch;
+    // Pass 1: histogram, turned into each window's first slot.
+    hist.clear();
+    hist.resize(bins + 1, 0);
     for &v in frontier.iter() {
         hist[page_window_key(graph, v, page_bytes, pages_per_window) + 1] += 1;
     }
     for i in 0..bins {
         hist[i + 1] += hist[i];
     }
-    // Pass 2: stable scatter into scratch.
-    scratch.clear();
-    scratch.resize(frontier.len(), 0);
-    let mut cursor = hist;
+    // Pass 2: stable scatter into the temporary array.
+    entries.clear();
+    entries.resize(frontier.len(), 0);
     for &v in frontier.iter() {
         let k = page_window_key(graph, v, page_bytes, pages_per_window);
-        scratch[cursor[k]] = v;
-        cursor[k] += 1;
+        entries[hist[k]] = v;
+        hist[k] += 1;
     }
     // Pass 3: copy back.
-    frontier.copy_from_slice(scratch);
+    frontier.copy_from_slice(entries);
     info
 }
 
@@ -107,7 +125,7 @@ mod tests {
         let mut f: Vec<u32> = (0..4096u32).rev().collect();
         let mut sorted_copy = f.clone();
         sorted_copy.sort_unstable();
-        let mut scratch = Vec::new();
+        let mut scratch = RearrangeScratch::default();
         let info = rearrange_frontier(&mut f, &g, 4096, 4, &mut scratch);
         assert_eq!(info.entries, 4096);
         assert!(info.bins >= 8);
@@ -122,7 +140,7 @@ mod tests {
     fn rearrangement_is_stable_within_a_window() {
         let g = uniform_random_directed(1024, 4, &mut rng_from_seed(2));
         let mut f: Vec<u32> = vec![800, 3, 801, 5, 802, 4];
-        let mut scratch = Vec::new();
+        let mut scratch = RearrangeScratch::default();
         rearrange_frontier(&mut f, &g, 4096, 1, &mut scratch);
         // Entries with equal keys keep input order: 3 appears before 5,
         // 5 before 4 iff they share a window.
@@ -153,7 +171,7 @@ mod tests {
         assert_eq!(histogram_bins(&g, 4096, 512), 1);
         let mut f = vec![5u32, 1, 9];
         let orig = f.clone();
-        let mut scratch = Vec::new();
+        let mut scratch = RearrangeScratch::default();
         let info = rearrange_frontier(&mut f, &g, 4096, 512, &mut scratch);
         assert_eq!(info.bins, 1);
         assert_eq!(f, orig, "single window: order untouched");
@@ -162,7 +180,7 @@ mod tests {
     #[test]
     fn empty_and_singleton_frontiers() {
         let g = uniform_random_directed(64, 2, &mut rng_from_seed(4));
-        let mut scratch = Vec::new();
+        let mut scratch = RearrangeScratch::default();
         let mut empty: Vec<u32> = vec![];
         rearrange_frontier(&mut empty, &g, 4096, 1, &mut scratch);
         let mut one = vec![7u32];
@@ -173,12 +191,16 @@ mod tests {
     #[test]
     fn scratch_is_reused_across_calls() {
         let g = uniform_random_directed(256, 8, &mut rng_from_seed(5));
-        let mut scratch = Vec::new();
+        let mut scratch = RearrangeScratch::default();
         let mut f: Vec<u32> = (0..256).rev().collect();
         rearrange_frontier(&mut f, &g, 512, 1, &mut scratch);
-        let cap = scratch.capacity();
+        let cap = scratch.capacity_words();
         let mut f2: Vec<u32> = (0..200).rev().collect();
         rearrange_frontier(&mut f2, &g, 512, 1, &mut scratch);
-        assert_eq!(scratch.capacity(), cap, "no reallocation for smaller runs");
+        assert_eq!(
+            scratch.capacity_words(),
+            cap,
+            "no reallocation for smaller runs"
+        );
     }
 }

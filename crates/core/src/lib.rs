@@ -27,8 +27,9 @@
 //!   TLB-aware rearrangement (§III-B3(b), §III-C(7)).
 //! * [`prefetch`] — software prefetch of adjacency lists (§III-C(3)).
 //! * [`engine`] — the complete two-phase traversal of Figure 3.
-//! * [`session`] — persistent query sessions: epoch-stamped O(touched)
-//!   state reset and batched multi-source BFS over one engine.
+//! * [`session`] — persistent query sessions: an O(1) epoch-stamped `DP`
+//!   reset, a one-pass `VIS` reset, and batched multi-source BFS over one
+//!   engine.
 //! * [`query`] — the dispatch seam servers build on: typed query kinds
 //!   (reach, path, multi-source batch) with validation separated from
 //!   execution, and tree-path reconstruction from the parent array.

@@ -14,8 +14,9 @@
 //! * `DP` resets in O(1) per query via an epoch stamp in each packed word
 //!   (see [`crate::dp`] — the single-aligned-store §III-A argument is
 //!   preserved because the stamp travels inside the same 64-bit word);
-//! * `VIS` resets in O(touched) by replaying the previous run's enqueue log
-//!   (see [`crate::vis::Vis::clear_touched`]);
+//! * `VIS` resets in one sequential pass over its `n/8` bytes (see
+//!   [`crate::vis::Vis::reset`]; DESIGN.md §8 states the trade-off against
+//!   an O(touched) replay of the run's enqueues);
 //! * frontier, bin, and scratch buffers keep their high-water capacity, so
 //!   a warm query allocates nothing for traversal storage.
 //!
@@ -83,7 +84,7 @@ impl<'g> BfsSession<'g> {
 
     /// Wraps an existing engine.
     pub fn from_engine(engine: BfsEngine<'g>) -> Self {
-        let state = RunState::new(&engine, true);
+        let state = RunState::new(&engine);
         Self { engine, state }
     }
 
@@ -99,7 +100,7 @@ impl<'g> BfsSession<'g> {
         epoch_bits: u32,
     ) -> Self {
         let engine = BfsEngine::new(graph, topology, options);
-        let state = RunState::with_epoch_bits(&engine, true, Some(epoch_bits));
+        let state = RunState::with_epoch_bits(&engine, Some(epoch_bits));
         Self { engine, state }
     }
 

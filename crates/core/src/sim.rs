@@ -29,7 +29,7 @@ use bfs_trace::{MemStepEvent, NoopSink, RunEvent, TraceEvent, TraceSink};
 use crate::balance::{divide_even, divide_static, Segment, Stream};
 use crate::dp::INF_DEPTH;
 use crate::engine::Scheduling;
-use crate::frontier::rearrange_frontier;
+use crate::frontier::{rearrange_frontier, RearrangeScratch};
 use crate::pbv::{decode_window, BinGeometry, BinSet, PbvEncoding};
 use crate::vis::VisScheme;
 use crate::VertexId;
@@ -370,7 +370,7 @@ pub fn simulate_bfs_traced(
     let mut bins: Vec<BinSet> = (0..nthreads)
         .map(|_| BinSet::new(geometry.n_bins, encoding))
         .collect();
-    let mut scratch: Vec<VertexId> = Vec::new();
+    let mut scratch = RearrangeScratch::default();
     let mut atomic_ops = 0u64;
     let mut adj_chains = 0u64;
     let mut bottleneck = BottleneckLedger::default();

@@ -115,37 +115,11 @@ impl Vis {
         self.n == 0
     }
 
-    /// Zeroes the filter (single-threaded, between runs).
+    /// Zeroes the filter in one sequential pass (single-threaded, between
+    /// runs): `n/8` bytes for the bit schemes, `n` for [`VisScheme::Byte`].
     pub fn reset(&mut self) {
         for b in self.bytes.iter_mut() {
             *b.get_mut() = 0;
-        }
-    }
-
-    /// O(touched) between-runs reset: zeroes only the storage covering the
-    /// given vertices.
-    ///
-    /// Correctness relies on the marking protocol: every vertex a run marks
-    /// is either the source or gets enqueued into some thread's next
-    /// frontier (a probe marks `v` only while `v` is being claimed this
-    /// step; the claim winner enqueues it). A session that replays the
-    /// run's frontiers — source included — through this method therefore
-    /// clears every possibly-set bit/byte. Clearing a byte that covers
-    /// *untouched* vertices is harmless: their storage was already zero, and
-    /// zero ("possibly unassigned") is always the safe VIS state.
-    pub fn clear_touched(&mut self, touched: &[VertexId]) {
-        match self.scheme {
-            VisScheme::None => {}
-            VisScheme::Byte => {
-                for &v in touched {
-                    *self.bytes[v as usize].get_mut() = 0;
-                }
-            }
-            VisScheme::AtomicBit | VisScheme::AtomicBitTest | VisScheme::Bit => {
-                for &v in touched {
-                    *self.bytes[(v as usize) >> 3].get_mut() = 0;
-                }
-            }
         }
     }
 
@@ -339,26 +313,6 @@ mod tests {
             v.mark(9);
             v.reset();
             assert!(!v.is_marked(9));
-        }
-    }
-
-    #[test]
-    fn clear_touched_clears_exactly_the_covering_storage() {
-        for scheme in VisScheme::ALL {
-            let mut v = Vis::new(scheme, 64);
-            v.mark(9);
-            v.mark(17);
-            v.mark(40);
-            v.clear_touched(&[9, 40]);
-            assert!(!v.is_marked(9), "{scheme:?}");
-            assert!(!v.is_marked(40), "{scheme:?}");
-            // Vertex 17 shares no byte with 9 or 40 and must survive (except
-            // under None, which never stores anything).
-            if scheme != VisScheme::None {
-                assert!(v.is_marked(17), "{scheme:?}");
-            }
-            v.clear_touched(&[17]);
-            assert!(!v.is_marked(17), "{scheme:?}");
         }
     }
 

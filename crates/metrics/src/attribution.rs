@@ -530,6 +530,12 @@ impl AttributionReport {
             st.quantile(0.5) / 1e3,
             st.quantile(0.99) / 1e3,
         );
+        let _ = writeln!(
+            out,
+            "epilogue (answer writes after the last level, outside query time): \
+             {:.2} ms per query, summed over lanes",
+            snap.total(Counter::EpilogueNs) as f64 / 1e6 / self.queries.max(1) as f64
+        );
         out
     }
 }

@@ -120,6 +120,7 @@ fn help(c: Counter) -> &'static str {
             "Requests whose flight-recorder trace was kept in full by the tail sampler"
         }
         Counter::ServeTraceDigest => "Requests retained as an id+latency trace digest only",
+        Counter::EpilogueNs => "Answer-epilogue nanoseconds after the last level (all threads)",
     }
 }
 

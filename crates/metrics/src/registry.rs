@@ -131,6 +131,10 @@ pub enum Counter {
     /// Requests retained as an id+latency digest only — fast, successful
     /// requests the tail sampler declined (driver scope).
     ServeTraceDigest,
+    /// Answer-epilogue nanoseconds: writing depths and parents in external
+    /// id order after the last level barrier, outside `QueryNs` (thread
+    /// scope).
+    EpilogueNs,
 }
 
 impl Counter {
@@ -138,7 +142,7 @@ impl Counter {
     /// Additions are append-only so snapshots serialized by older builds
     /// keep their positional meaning. A removal shifts every later index,
     /// so read a snapshot from another build by counter name.
-    pub const ALL: [Counter; 43] = [
+    pub const ALL: [Counter; 44] = [
         Counter::Queries,
         Counter::QueryNs,
         Counter::Steps,
@@ -182,6 +186,7 @@ impl Counter {
         Counter::ServeDeadlineDropped,
         Counter::ServeTraceSampled,
         Counter::ServeTraceDigest,
+        Counter::EpilogueNs,
     ];
 
     /// Stable snake_case name used in JSON and Prometheus exposition.
@@ -230,6 +235,7 @@ impl Counter {
             Counter::ServeDeadlineDropped => "serve_deadline_dropped",
             Counter::ServeTraceSampled => "serve_trace_sampled",
             Counter::ServeTraceDigest => "serve_trace_digest",
+            Counter::EpilogueNs => "epilogue_ns",
         }
     }
 

@@ -51,7 +51,13 @@ pub struct ThreadStep {
     pub phase1_ns: u64,
     /// Nanoseconds this thread spent in Phase II this step.
     pub phase2_ns: u64,
-    /// Nanoseconds this thread spent rearranging its frontier this step.
+    /// Nanoseconds this thread spent rearranging the frontier this step's
+    /// Phase I reads. The rearrangement runs at the end of the previous
+    /// step, after its closing barrier, and only when both steps are
+    /// top-down (a bottom-up step only ORs the frontier into a bitmap), so
+    /// it is 0 on step 1, on every bottom-up step and on the first
+    /// top-down step after a bottom-up one. The rearrangement of the last
+    /// frontier belongs to the empty final round, which records no step.
     pub rearrange_ns: u64,
     /// Vertices this thread enqueued this step (duplicates included).
     pub enqueued: u64,

@@ -54,7 +54,8 @@ pub struct LevelDigest {
     /// Max over threads of Phase II time (bin drain, or the bottom-up
     /// parent scan).
     pub phase2_ns: u64,
-    /// Max over threads of frontier-rearrangement time.
+    /// Max over threads of the time spent rearranging the frontier this
+    /// level's Phase I reads (see [`crate::ThreadStep::rearrange_ns`]).
     pub rearrange_ns: u64,
 }
 

@@ -54,6 +54,12 @@ trap 'rm -f "$SMOKE_GRAPH" "$SMOKE_TUNED" "$HUGE_GRAPH"' EXIT
 target/release/fastbfs gen --family graph500 --scale 14 --seed 42 -o "$HUGE_GRAPH"
 target/release/fastbfs run -i "$HUGE_GRAPH" --sources 4 --seed 7 --relabel --hugepages \
     --validate --threads 2
+# Every level top-down on 3 uneven lanes, 8 warm queries: each frontier
+# is rearranged after its level's closing barrier for the next top-down
+# Phase I, and each query starts from a VIS zeroed in one pass; the
+# oracle checks every answer.
+target/release/fastbfs run -i "$HUGE_GRAPH" --sources 8 --seed 7 --direction top-down \
+    --threads 3 --relabel --hugepages --validate
 rm -f "$HUGE_GRAPH"
 
 echo "==> figure6 smoke (the Agarwal baseline runs as an engine configuration)"

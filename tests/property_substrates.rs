@@ -4,7 +4,7 @@
 //! analytical model's monotonicity.
 
 use bfs_core::balance::{alpha, divide_even, divide_static, socket_shares, Stream};
-use bfs_core::frontier::{histogram_bins, rearrange_frontier};
+use bfs_core::frontier::{histogram_bins, rearrange_frontier, RearrangeScratch};
 use bfs_core::pbv::{decode_window, BinGeometry, BinSet, ResolvedEncoding};
 use bfs_graph::builder::{BuildOptions, GraphBuilder};
 use bfs_graph::gen::uniform::uniform_random_directed;
@@ -146,7 +146,7 @@ proptest! {
             ids
         };
         let mut f = ids.clone();
-        let mut scratch = Vec::new();
+        let mut scratch = RearrangeScratch::default();
         rearrange_frontier(&mut f, &g, page, tlb, &mut scratch);
         let mut a = ids;
         let mut b = f.clone();
