@@ -1493,15 +1493,17 @@ const EPILOGUE_PREFETCH_DISTANCE: usize = 16;
 /// internal ids keeps every read sequential and scatters only the writes;
 /// on a relabeled graph each write lands on a random line of `depths` and
 /// `parents`, so the loop prefetches the two lines of the id
-/// [`EPILOGUE_PREFETCH_DISTANCE`] slots ahead (§III-C(3)). On RMAT 21 the
-/// sequential path is already bandwidth-bound, so hoisting and prefetch
-/// together took about 1–2 ms (7–10%) off the epilogue. Two alternatives
-/// measured worse on that graph: a gather over external ids (random `DP` and inverse-map reads
-/// instead of random writes) was slower than the prefetched scatter, and
-/// a two-pass scatter that first binned the entries by 128 Ki-id external
-/// window cut the epilogue by only 15–25% while its 25 MB of bins added
-/// about 2 ms to the next query's traversal. The unrelabeled path writes
-/// sequentially and needs no prefetch.
+/// [`EPILOGUE_PREFETCH_DISTANCE`] slots ahead (§III-C(3)). The unrelabeled
+/// path writes sequentially and needs no prefetch. On RMAT 21 (relabeled,
+/// 2 lanes) the two together cut a warm query's time outside the level
+/// loop by a median 6 ms of 20; the prefetch alone is worth about 3% of
+/// the epilogue, the hoisting the rest. Two alternatives measured worse on
+/// that graph: a gather over external ids (random `DP` and inverse-map
+/// reads instead of random writes) was slower than the prefetched
+/// scatter, and a two-pass scatter that first binned the entries by
+/// 128 Ki-id external window cut the epilogue by only 15–25% while its
+/// 25 MB of bins added about 2 ms to the next query's traversal
+/// (EXPERIMENTS.md, "A warm query pays only for its traversal").
 ///
 /// The lanes' writes never overlap: each chunk is claimed by exactly one
 /// `fetch_add`, so the chunks partition `0..n`, and the inverse map of a
